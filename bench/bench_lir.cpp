@@ -1,16 +1,13 @@
-//===- bench/bench_lir.cpp - E13: Loop IR ablation ------------------------===//
+//===- bench/bench_lir.cpp - E14: LIR pass ablation -----------------------===//
 //
-// Experiment E13: what the unified Loop IR buys at run time. Three
-// evaluators run the same ExecPlans:
+// Experiment E14: what the LIR pass pipeline buys at run time. Two
+// configurations of the production evaluator run the same ExecPlans:
 //
 //   *LIR        — the production Executor: plans lower once to flat LIR
 //                 (slots, linearized addresses) and the passes (LICM,
 //                 strength reduction, check hoisting, DCE) run.
 //   *LIRNoOpt   — same evaluator with the passes disabled: isolates the
 //                 pass pipeline from the lowering itself.
-//   *TreeWalker — the seed tree-walking executor preserved verbatim in
-//                 runtime/TreeExec.h: per-element AST dispatch,
-//                 name-keyed scopes, re-derived row-major multiplies.
 //
 // Kernels: Section 9's Jacobi step (in-place update with a previous-row
 // ring) and Section 3's wavefront recurrence (construction). Executors
@@ -20,7 +17,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
-#include "runtime/TreeExec.h"
 
 #include <benchmark/benchmark.h>
 
@@ -55,21 +51,6 @@ static void BM_JacobiLIRNoOpt(benchmark::State &State) {
 }
 BENCHMARK(BM_JacobiLIRNoOpt)->Arg(64)->Arg(256);
 
-static void BM_JacobiTreeWalker(benchmark::State &State) {
-  int64_t N = State.range(0);
-  CompiledUpdate Compiled = mustCompileUpdate(jacobiSource(N));
-  DoubleArray A = makeGrid(N);
-  TreeWalkExecutor Exec(Compiled.Params);
-  for (auto _ : State) {
-    std::string Err;
-    if (!Exec.run(Compiled.Plan, A, Err))
-      State.SkipWithError(Err.c_str());
-    benchmark::DoNotOptimize(A.data());
-  }
-  State.counters["stores"] = static_cast<double>(Exec.stats().Stores);
-}
-BENCHMARK(BM_JacobiTreeWalker)->Arg(64)->Arg(256);
-
 //===--------------------------------------------------------------------===//
 // Wavefront recurrence (construction path)
 //===--------------------------------------------------------------------===//
@@ -98,22 +79,5 @@ static void BM_WavefrontLIRNoOpt(benchmark::State &State) {
   runWavefrontLIR(State, /*Optimize=*/false);
 }
 BENCHMARK(BM_WavefrontLIRNoOpt)->Arg(64)->Arg(256);
-
-static void BM_WavefrontTreeWalker(benchmark::State &State) {
-  int64_t N = State.range(0);
-  CompiledArray Compiled = mustCompile(wavefrontSource(N));
-  TreeWalkExecutor Exec(Compiled.Params);
-  for (auto _ : State) {
-    DoubleArray Out(Compiled.Dims);
-    if (Compiled.Plan.CheckCollisions || Compiled.Plan.CheckEmpties)
-      Out.enableDefinedBits();
-    std::string Err;
-    if (!Exec.run(Compiled.Plan, Out, Err))
-      State.SkipWithError(Err.c_str());
-    benchmark::DoNotOptimize(Out.data());
-  }
-  State.counters["stores"] = static_cast<double>(Exec.stats().Stores);
-}
-BENCHMARK(BM_WavefrontTreeWalker)->Arg(64)->Arg(256);
 
 HAC_BENCH_MAIN();

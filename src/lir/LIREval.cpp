@@ -100,9 +100,14 @@ struct Machine {
     return PF ? runSpanImpl<true>(Lo, Hi, R, C, Err, AllowPar, PF)
               : runSpanImpl<false>(Lo, Hi, R, C, Err, AllowPar, nullptr);
   }
+  /// The interpreter loop. Its start is pinned to a cache line so its
+  /// speed does not depend on the size of unrelated code linked ahead
+  /// of it: a 48-mod-64 start cost ~30% on n=512 stencil sweeps
+  /// (4-vCPU Xeon, gcc 12).
   template <bool ProfOn>
-  bool runSpanImpl(size_t Lo, size_t Hi, Reg *R, LocalCounters &C,
-                   std::string &Err, bool AllowPar, ProfCtx *PF);
+  [[gnu::aligned(64)]] bool runSpanImpl(size_t Lo, size_t Hi, Reg *R,
+                                        LocalCounters &C, std::string &Err,
+                                        bool AllowPar, ProfCtx *PF);
   bool runDoall(size_t Begin, Reg *R, LocalCounters &C, std::string &Err,
                 ProfCtx *PF);
   bool runWave(size_t Begin, Reg *R, LocalCounters &C, std::string &Err,

@@ -1,4 +1,4 @@
-//===- parallel/ThreadPool.cpp - Work-stealing worker pool ----------------===//
+//===- parallel/ThreadPool.cpp - Shared-index worker pool -----------------===//
 
 #include "parallel/ThreadPool.h"
 
@@ -18,14 +18,17 @@ using namespace hac::par;
 
 namespace {
 
-/// One worker's deque. The owner pops from the back, thieves pop from the
-/// front; both sides take the mutex — tasks here are loop *chunks*, so
-/// queue traffic is a handful of operations per parallelFor, not per
-/// iteration, and an uncontended mutex is cheaper than getting a lock-free
-/// deque wrong.
-struct WorkerQueue {
-  std::mutex M;
-  std::deque<size_t> Q;
+/// One parallelFor call. Workers claim task indices through Next and
+/// report completions through Done. The record is shared-owned so that
+/// a worker waking after the call returned still holds valid counters:
+/// its claim lands at or past N and it never dereferences Fn, which the
+/// caller owns and may already have destroyed.
+struct Job {
+  Job(const std::function<void(size_t)> &Fn, size_t N) : Fn(&Fn), N(N) {}
+  const std::function<void(size_t)> *Fn;
+  size_t N;
+  std::atomic<size_t> Next{0};
+  std::atomic<size_t> Done{0};
 };
 
 /// One worker's utilization counters. All relaxed: each counter is an
@@ -34,7 +37,6 @@ struct WorkerQueue {
 /// workers never bounce each other's counters.
 struct alignas(64) WStats {
   std::atomic<uint64_t> Tasks{0};
-  std::atomic<uint64_t> Steals{0};
   std::atomic<uint64_t> IdleNanos{0};
 };
 
@@ -53,17 +55,13 @@ thread_local unsigned CurWorker = 0;
 struct ThreadPool::Impl {
   unsigned NumThreads = 1;
   std::vector<std::thread> Workers;
-  std::vector<std::unique_ptr<WorkerQueue>> Queues;
   std::vector<std::unique_ptr<WStats>> Stats;
   std::atomic<uint64_t> Jobs{0};
-  std::atomic<uint64_t> MaxQueueDepth{0};
 
   std::mutex JobM;
-  std::condition_variable JobCV;  // workers wait here between jobs
+  std::condition_variable JobCV;  // workers wait here for a new Cur
   std::condition_variable DoneCV; // parallelFor waits here for the barrier
-  const std::function<void(size_t)> *JobFn = nullptr;
-  std::atomic<size_t> Remaining{0};
-  uint64_t JobGen = 0;
+  std::shared_ptr<Job> Cur;       // the latest job; guarded by JobM
   bool Shutdown = false;
 
   // The detached background lane: one dedicated thread, FIFO queue,
@@ -98,40 +96,15 @@ struct ThreadPool::Impl {
     }
   }
 
-  /// Pops one task for worker \p Self: own deque from the back first,
-  /// then steal from the other deques' fronts. Returns false when no
-  /// task is available anywhere.
-  bool popTask(unsigned Self, size_t &Task) {
-    {
-      WorkerQueue &Own = *Queues[Self];
-      std::lock_guard<std::mutex> Lock(Own.M);
-      if (!Own.Q.empty()) {
-        Task = Own.Q.back();
-        Own.Q.pop_back();
-        return true;
-      }
-    }
-    for (unsigned I = 1; I != NumThreads; ++I) {
-      WorkerQueue &Victim = *Queues[(Self + I) % NumThreads];
-      std::lock_guard<std::mutex> Lock(Victim.M);
-      if (!Victim.Q.empty()) {
-        Task = Victim.Q.front();
-        Victim.Q.pop_front();
-        Stats[Self]->Steals.fetch_add(1, std::memory_order_relaxed);
-        return true;
-      }
-    }
-    return false;
-  }
-
-  /// Drains every available task for worker \p Self, decrementing the
-  /// barrier count and waking the caller when the last task finishes.
-  void drain(unsigned Self, const std::function<void(size_t)> &Fn) {
-    size_t Task;
-    while (popTask(Self, Task)) {
-      Fn(Task);
+  /// Runs task \p T of \p J on lane \p Self, then every further task it
+  /// can claim, waking the caller when the last task finishes. Tallies
+  /// are bumped before Done so the caller's stats() sees them after the
+  /// barrier.
+  void work(Job &J, unsigned Self, size_t T) {
+    for (; T < J.N; T = J.Next.fetch_add(1, std::memory_order_relaxed)) {
+      (*J.Fn)(T);
       Stats[Self]->Tasks.fetch_add(1, std::memory_order_relaxed);
-      if (Remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      if (J.Done.fetch_add(1, std::memory_order_acq_rel) + 1 == J.N) {
         std::lock_guard<std::mutex> Lock(JobM);
         DoneCV.notify_all();
       }
@@ -140,22 +113,27 @@ struct ThreadPool::Impl {
 
   void workerLoop(unsigned Self) {
     CurWorker = Self;
-    uint64_t SeenGen = 0;
+    // Holding the last job keeps its address from being reused, so a
+    // pointer comparison is enough to spot the next one.
+    std::shared_ptr<Job> Mine;
+    uint64_t IdleSince = nowNanos();
     for (;;) {
-      const std::function<void(size_t)> *Fn = nullptr;
       {
-        uint64_t T0 = nowNanos();
         std::unique_lock<std::mutex> Lock(JobM);
-        JobCV.wait(Lock,
-                   [&] { return Shutdown || JobGen != SeenGen; });
-        Stats[Self]->IdleNanos.fetch_add(nowNanos() - T0,
-                                         std::memory_order_relaxed);
+        JobCV.wait(Lock, [&] { return Shutdown || Cur != Mine; });
         if (Shutdown)
           return;
-        SeenGen = JobGen;
-        Fn = JobFn;
+        Mine = Cur;
       }
-      drain(Self, *Fn);
+      // A worker that wakes after every task was claimed stays idle and
+      // charges nothing, so no idle time lands after the barrier opened.
+      size_t T = Mine->Next.fetch_add(1, std::memory_order_relaxed);
+      if (T >= Mine->N)
+        continue;
+      Stats[Self]->IdleNanos.fetch_add(nowNanos() - IdleSince,
+                                       std::memory_order_relaxed);
+      work(*Mine, Self, T);
+      IdleSince = nowNanos();
     }
   }
 };
@@ -164,12 +142,9 @@ ThreadPool::ThreadPool(unsigned Threads) : P(std::make_unique<Impl>()) {
   if (Threads == 0)
     Threads = defaultThreads();
   P->NumThreads = Threads;
-  P->Queues.reserve(Threads);
   P->Stats.reserve(Threads);
-  for (unsigned I = 0; I != Threads; ++I) {
-    P->Queues.push_back(std::make_unique<WorkerQueue>());
+  for (unsigned I = 0; I != Threads; ++I)
     P->Stats.push_back(std::make_unique<WStats>());
-  }
   // Worker 0 is the calling thread.
   for (unsigned I = 1; I != Threads; ++I)
     P->Workers.emplace_back([this, I] { P->workerLoop(I); });
@@ -224,48 +199,32 @@ void ThreadPool::parallelFor(size_t NumTasks,
     P->Stats[0]->Tasks.fetch_add(NumTasks, std::memory_order_relaxed);
     return;
   }
-  // Round-robin the tasks over the deques, then publish the job.
-  for (size_t T = 0; T != NumTasks; ++T) {
-    WorkerQueue &Q = *P->Queues[T % P->NumThreads];
-    std::lock_guard<std::mutex> Lock(Q.M);
-    Q.Q.push_back(T);
-    uint64_t Depth = Q.Q.size();
-    uint64_t Prev = P->MaxQueueDepth.load(std::memory_order_relaxed);
-    while (Prev < Depth && !P->MaxQueueDepth.compare_exchange_weak(
-                               Prev, Depth, std::memory_order_relaxed))
-      ;
-  }
+  auto J = std::make_shared<Job>(Fn, NumTasks);
   {
     std::lock_guard<std::mutex> Lock(P->JobM);
-    P->JobFn = &Fn;
-    P->Remaining.store(NumTasks, std::memory_order_relaxed);
-    ++P->JobGen;
+    P->Cur = J;
     P->JobCV.notify_all();
   }
   // The caller works too, then waits out the barrier.
-  P->drain(0, Fn);
+  P->work(*J, 0, J->Next.fetch_add(1, std::memory_order_relaxed));
   uint64_t T0 = nowNanos();
   std::unique_lock<std::mutex> Lock(P->JobM);
   P->DoneCV.wait(Lock, [&] {
-    return P->Remaining.load(std::memory_order_acquire) == 0;
+    return J->Done.load(std::memory_order_acquire) == NumTasks;
   });
   P->Stats[0]->IdleNanos.fetch_add(nowNanos() - T0,
                                    std::memory_order_relaxed);
-  P->JobFn = nullptr;
 }
 
 PoolStats ThreadPool::stats() const {
   PoolStats S;
   S.Jobs = P->Jobs.load(std::memory_order_relaxed);
-  S.MaxQueueDepth = P->MaxQueueDepth.load(std::memory_order_relaxed);
   S.Workers.reserve(P->NumThreads);
   for (const auto &W : P->Stats) {
     WorkerStats WS;
     WS.Tasks = W->Tasks.load(std::memory_order_relaxed);
-    WS.Steals = W->Steals.load(std::memory_order_relaxed);
     WS.IdleNanos = W->IdleNanos.load(std::memory_order_relaxed);
     S.Tasks += WS.Tasks;
-    S.Steals += WS.Steals;
     S.Workers.push_back(WS);
   }
   return S;
@@ -273,10 +232,8 @@ PoolStats ThreadPool::stats() const {
 
 void ThreadPool::resetStats() {
   P->Jobs.store(0, std::memory_order_relaxed);
-  P->MaxQueueDepth.store(0, std::memory_order_relaxed);
   for (const auto &W : P->Stats) {
     W->Tasks.store(0, std::memory_order_relaxed);
-    W->Steals.store(0, std::memory_order_relaxed);
     W->IdleNanos.store(0, std::memory_order_relaxed);
   }
 }

@@ -1,15 +1,18 @@
-//===- parallel/ThreadPool.h - Work-stealing worker pool --------*- C++ -*-===//
+//===- parallel/ThreadPool.h - Shared-index worker pool ---------*- C++ -*-===//
 //
 // Part of the hac project (Anderson & Hudak, PLDI 1990 reproduction).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A small work-stealing thread pool built for the LIR evaluator's
-/// parallel loops: N-1 persistent worker threads plus the calling thread,
-/// per-worker task deques (owners pop from the back, thieves steal from
-/// the front), and a single blocking entry point `parallelFor` that acts
-/// as a barrier — it returns only once every task has finished.
+/// A small thread pool built for the LIR evaluator's parallel loops:
+/// N-1 persistent worker threads plus the calling thread, and a single
+/// blocking entry point `parallelFor` that acts as a barrier — it
+/// returns only once every task has finished. Each call publishes one
+/// job record holding the closure, the task count, a shared claim index
+/// and a completion count; every thread claims the next index until
+/// none are left. The evaluator submits a few equal-sized chunks per
+/// loop, so one shared index balances them without per-worker queues.
 ///
 /// Tasks must not throw; error reporting happens through whatever state
 /// the task closure captures (the evaluator records the lexically first
@@ -33,7 +36,6 @@ namespace par {
 /// or the last resetStats().
 struct WorkerStats {
   uint64_t Tasks = 0;     ///< tasks executed by this worker
-  uint64_t Steals = 0;    ///< tasks popped from another worker's deque
   uint64_t IdleNanos = 0; ///< time spent blocked waiting for work
 };
 
@@ -41,10 +43,8 @@ struct WorkerStats {
 /// Individual counters are exact; cross-counter relations (e.g. Tasks
 /// vs Jobs) are only guaranteed when no job is in flight.
 struct PoolStats {
-  uint64_t Jobs = 0;          ///< parallelFor calls that ran tasks
-  uint64_t Tasks = 0;         ///< sum of Workers[i].Tasks
-  uint64_t Steals = 0;        ///< sum of Workers[i].Steals
-  uint64_t MaxQueueDepth = 0; ///< high-water mark of any deque
+  uint64_t Jobs = 0;  ///< parallelFor calls that ran tasks
+  uint64_t Tasks = 0; ///< sum of Workers[i].Tasks
   std::vector<WorkerStats> Workers;
 };
 
@@ -62,8 +62,8 @@ public:
   /// Total worker count, including the caller.
   unsigned threads() const;
 
-  /// Runs Fn(Task) for every Task in [0, NumTasks), distributing tasks
-  /// over the workers' deques; the caller participates and the call
+  /// Runs Fn(Task) for every Task in [0, NumTasks), each worker claiming
+  /// the next unclaimed index; the caller participates and the call
   /// returns only when all tasks are done (a barrier). Not reentrant:
   /// Fn must not call parallelFor on the same pool.
   void parallelFor(size_t NumTasks, const std::function<void(size_t)> &Fn);

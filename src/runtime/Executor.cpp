@@ -487,13 +487,11 @@ bool Executor::run(const ExecPlan &Plan, DoubleArray &Target,
     par::PoolStats PS1 = Pool->stats();
     PoolUtilization U;
     U.Jobs = PS1.Jobs - PS0.Jobs;
-    U.MaxQueueDepth = PS1.MaxQueueDepth; // high-water mark, not a delta
     U.Workers.resize(PS1.Workers.size());
     for (size_t I = 0; I != PS1.Workers.size(); ++I) {
       par::WorkerStats W0 =
           I < PS0.Workers.size() ? PS0.Workers[I] : par::WorkerStats{};
       U.Workers[I].Tasks = PS1.Workers[I].Tasks - W0.Tasks;
-      U.Workers[I].Steals = PS1.Workers[I].Steals - W0.Steals;
       U.Workers[I].IdleNanos = PS1.Workers[I].IdleNanos - W0.IdleNanos;
     }
     if (U.Jobs != 0) {
@@ -501,8 +499,6 @@ bool Executor::run(const ExecPlan &Plan, DoubleArray &Target,
         TraceSink &S = TraceSink::get();
         S.count("pool.jobs", U.Jobs);
         S.count("pool.tasks", PS1.Tasks - PS0.Tasks);
-        S.count("pool.steals", PS1.Steals - PS0.Steals);
-        S.countMax("pool.max_queue_depth", U.MaxQueueDepth);
         uint64_t Idle = 0;
         for (const PoolUtilization::Worker &W : U.Workers)
           Idle += W.IdleNanos;

@@ -11,8 +11,7 @@
 /// LIREval register machine — no per-element AST dispatch, no name
 /// lookups, no re-derived multiply chains. Semantics (evaluation order,
 /// runtime error messages, ExecStats counters) match the seed
-/// tree-walking executor, which survives as TreeWalkExecutor for the
-/// bench_lir ablation.
+/// tree-walking executor.
 ///
 //===----------------------------------------------------------------------===//
 

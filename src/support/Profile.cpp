@@ -92,12 +92,10 @@ void ProfileSink::record(const ProgramProfile &P) {
 void ProfileSink::recordPool(const PoolUtilization &U) {
   std::lock_guard<std::mutex> Lock(Mutex);
   Pool.Jobs += U.Jobs;
-  Pool.MaxQueueDepth = std::max(Pool.MaxQueueDepth, U.MaxQueueDepth);
   if (Pool.Workers.size() < U.Workers.size())
     Pool.Workers.resize(U.Workers.size());
   for (size_t I = 0; I < U.Workers.size(); ++I) {
     Pool.Workers[I].Tasks += U.Workers[I].Tasks;
-    Pool.Workers[I].Steals += U.Workers[I].Steals;
     Pool.Workers[I].IdleNanos += U.Workers[I].IdleNanos;
   }
 }
@@ -198,12 +196,11 @@ void ProfileSink::printTable(std::ostream &OS) const {
 
   if (PU.Jobs != 0) {
     OS << "  -- thread pool --\n";
-    OS << "  jobs " << PU.Jobs << ", max queue depth " << PU.MaxQueueDepth
-       << "\n";
+    OS << "  jobs " << PU.Jobs << "\n";
     for (size_t I = 0; I < PU.Workers.size(); ++I) {
       const PoolUtilization::Worker &W = PU.Workers[I];
-      OS << "  worker " << I << ": " << W.Tasks << " tasks, " << W.Steals
-         << " steals, " << msStr(W.IdleNanos) << " ms idle\n";
+      OS << "  worker " << I << ": " << W.Tasks << " tasks, "
+         << msStr(W.IdleNanos) << " ms idle\n";
     }
   }
   OS << "profiled " << Rows.size() << " loops in " << Progs.size()
@@ -239,13 +236,11 @@ void ProfileSink::writeJson(std::ostream &OS, unsigned Indent) const {
   }
   OS << (Progs.empty() ? "]" : "\n" + Pad + "  ]") << ",\n";
 
-  OS << Pad << "  \"pool\": {\"jobs\": " << PU.Jobs
-     << ", \"max_queue_depth\": " << PU.MaxQueueDepth << ", \"workers\": [";
+  OS << Pad << "  \"pool\": {\"jobs\": " << PU.Jobs << ", \"workers\": [";
   for (size_t I = 0; I < PU.Workers.size(); ++I) {
     const PoolUtilization::Worker &W = PU.Workers[I];
     OS << (I ? ", " : "") << "{\"tasks\": " << W.Tasks
-       << ", \"steals\": " << W.Steals << ", \"idle_nanos\": " << W.IdleNanos
-       << "}";
+       << ", \"idle_nanos\": " << W.IdleNanos << "}";
   }
   OS << "]}\n" << Pad << "}";
 }

@@ -84,11 +84,9 @@ struct ProgramProfile {
 
 /// Thread-pool utilization telemetry (accumulated deltas).
 struct PoolUtilization {
-  uint64_t Jobs = 0;          ///< parallelFor barriers executed
-  uint64_t MaxQueueDepth = 0; ///< high-water mark of any worker deque
+  uint64_t Jobs = 0; ///< parallelFor barriers executed
   struct Worker {
     uint64_t Tasks = 0;     ///< tasks this worker executed
-    uint64_t Steals = 0;    ///< tasks it stole from another deque
     uint64_t IdleNanos = 0; ///< time spent blocked waiting for work
   };
   std::vector<Worker> Workers;

@@ -2,7 +2,8 @@
 //
 // Covers the dependence-driven parallel subsystem end to end:
 //
-//  * ThreadPool: every task runs exactly once, single-thread pools stay
+//  * ThreadPool: every task runs exactly once, back-to-back jobs never
+//    run a task under another job's closure, single-thread pools stay
 //    inline, HAC_THREADS steers the default worker count.
 //  * ParPlanner: the SOR interior nest proves a wavefront, independent
 //    stencils prove DOALL, recurrences and ring-buffer passes stay
@@ -86,6 +87,39 @@ TEST(ThreadPool, ReusableAcrossCalls) {
   for (int Round = 0; Round != 50; ++Round)
     Pool.parallelFor(17, [&](size_t I) { Sum += I; });
   EXPECT_EQ(Sum.load(), 50u * (16u * 17u / 2u));
+}
+
+// Wavefronts issue one parallelFor per front, back to back. Each job's
+// closure owns heap state that dies as soon as the call returns, so a
+// task run under another job's closure either reads freed memory or
+// leaves one of its own slots unwritten.
+TEST(ThreadPool, BackToBackJobsNeverRunAStaleClosure) {
+  constexpr size_t NumJobs = 10000;
+  struct JobState {
+    size_t Id;
+    std::vector<size_t> SeenId;
+    std::vector<std::atomic<unsigned>> Writes;
+    JobState(size_t Id, size_t N) : Id(Id), SeenId(N), Writes(N) {}
+  };
+  for (unsigned Threads : {2u, 4u, 8u}) {
+    par::ThreadPool Pool(Threads);
+    size_t BadJobs = 0, FirstBad = NumJobs;
+    for (size_t Id = 0; Id != NumJobs; ++Id) {
+      size_t N = 2 + Id % (4 * Threads);
+      auto State = std::make_unique<JobState>(Id, N);
+      Pool.parallelFor(N, [S = State.get()](size_t T) {
+        S->SeenId[T] = S->Id;
+        ++S->Writes[T];
+      });
+      bool OK = true;
+      for (size_t T = 0; T != N; ++T)
+        OK &= State->SeenId[T] == Id && State->Writes[T].load() == 1;
+      if (!OK && BadJobs++ == 0)
+        FirstBad = Id;
+    }
+    EXPECT_EQ(BadJobs, 0u) << Threads << " threads, first bad job "
+                           << FirstBad;
+  }
 }
 
 TEST(ThreadPool, SingleThreadRunsInline) {

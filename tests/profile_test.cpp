@@ -15,7 +15,7 @@
 //  * Disabled mode: nothing is recorded and ExecStats are unchanged.
 //  * Timeline: the Chrome trace JSON is well formed — timestamps
 //    ascend, and every lane's B/E events form a balanced nesting.
-//  * ThreadPool telemetry: tasks/jobs/steals/idle counters and lane ids.
+//  * ThreadPool telemetry: tasks/jobs/idle counters and lane ids.
 //
 //===----------------------------------------------------------------------===//
 
@@ -150,19 +150,16 @@ TEST_F(ProfileTest, RecordPoolAccumulatesByWorker) {
   ProfileSink &S = ProfileSink::get();
   PoolUtilization U;
   U.Jobs = 2;
-  U.MaxQueueDepth = 5;
   U.Workers.resize(2);
   U.Workers[0].Tasks = 10;
-  U.Workers[1].Steals = 3;
+  U.Workers[1].IdleNanos = 3;
   S.recordPool(U);
-  U.MaxQueueDepth = 3; // lower water mark must not shrink the max
   S.recordPool(U);
   PoolUtilization Sum = S.poolSnapshot();
   EXPECT_EQ(Sum.Jobs, 4u);
-  EXPECT_EQ(Sum.MaxQueueDepth, 5u);
   ASSERT_EQ(Sum.Workers.size(), 2u);
   EXPECT_EQ(Sum.Workers[0].Tasks, 20u);
-  EXPECT_EQ(Sum.Workers[1].Steals, 6u);
+  EXPECT_EQ(Sum.Workers[1].IdleNanos, 6u);
 }
 
 TEST_F(ProfileTest, WriteJsonIsWellFormed) {
@@ -544,7 +541,6 @@ TEST(PoolStats, SerialInlinePathChargesCaller) {
   EXPECT_EQ(S.Tasks, 8u);
   ASSERT_EQ(S.Workers.size(), 1u);
   EXPECT_EQ(S.Workers[0].Tasks, 8u);
-  EXPECT_EQ(S.Steals, 0u);
 }
 
 TEST(PoolStats, EmptyJobIsNotCounted) {
@@ -562,11 +558,8 @@ TEST(PoolStats, ResetZeroesEverything) {
   par::PoolStats S = Pool.stats();
   EXPECT_EQ(S.Jobs, 0u);
   EXPECT_EQ(S.Tasks, 0u);
-  EXPECT_EQ(S.Steals, 0u);
-  EXPECT_EQ(S.MaxQueueDepth, 0u);
   for (const par::WorkerStats &W : S.Workers) {
     EXPECT_EQ(W.Tasks, 0u);
-    EXPECT_EQ(W.Steals, 0u);
     EXPECT_EQ(W.IdleNanos, 0u);
   }
 }

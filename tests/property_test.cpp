@@ -14,6 +14,9 @@
 //  * random in-place updates (bigupd) with arbitrary-sign offsets, where
 //    node splitting must preserve the copying semantics.
 //
+// Every compiled program also runs at 1, 2, 4 and 8 threads: the
+// threaded results and ExecStats must match the 1-thread run bit for bit.
+//
 //===----------------------------------------------------------------------===//
 
 #include "core/Compiler.h"
@@ -21,6 +24,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <functional>
 #include <random>
 #include <sstream>
 
@@ -39,6 +44,50 @@ std::string quarter(std::mt19937 &Rng) {
   if (S.back() == '0' && S[S.size() - 2] == '.')
     return S; // x.0 forms like "2.0"
   return S;
+}
+
+/// One evaluation of a compiled program into \p Out with \p Exec.
+using EvalFn =
+    std::function<bool(Executor &Exec, DoubleArray &Out, std::string &Err)>;
+
+void expectSameStats(const ExecStats &A, const ExecStats &B,
+                     const std::string &Where) {
+  EXPECT_EQ(A.Stores, B.Stores) << Where;
+  EXPECT_EQ(A.Loads, B.Loads) << Where;
+  EXPECT_EQ(A.RingSaves, B.RingSaves) << Where;
+  EXPECT_EQ(A.SnapshotCopies, B.SnapshotCopies) << Where;
+  EXPECT_EQ(A.BoundsChecks, B.BoundsChecks) << Where;
+  EXPECT_EQ(A.CollisionChecks, B.CollisionChecks) << Where;
+  EXPECT_EQ(A.GuardEvals, B.GuardEvals) << Where;
+  EXPECT_EQ(A.FusedIters, B.FusedIters) << Where;
+  EXPECT_EQ(A.TempBytes, B.TempBytes) << Where;
+}
+
+/// Runs \p Eval with non-validating executors at 1, 2, 4 and 8 threads.
+/// Each run must agree with the interpreter's \p Ref, and each threaded
+/// run must reproduce the 1-thread result bits and every ExecStats field.
+void checkAcrossThreads(const ParamEnv &Params, const EvalFn &Eval,
+                        const DoubleArray &Ref, const std::string &Source) {
+  Executor Serial(Params);
+  DoubleArray SerialOut;
+  std::string Err;
+  ASSERT_TRUE(Eval(Serial, SerialOut, Err)) << Err << "\n" << Source;
+  ASSERT_EQ(Ref.size(), SerialOut.size()) << Source;
+  EXPECT_LE(DoubleArray::maxAbsDiff(Ref, SerialOut), 1e-9) << Source;
+  for (unsigned Threads : {2u, 4u, 8u}) {
+    std::string Where = std::to_string(Threads) + " threads\n" + Source;
+    Executor Par(Params);
+    Par.setNumThreads(Threads);
+    DoubleArray Out;
+    ASSERT_TRUE(Eval(Par, Out, Err)) << Err << "\n" << Where;
+    ASSERT_EQ(Out.size(), SerialOut.size()) << Where;
+    EXPECT_EQ(std::memcmp(Out.data(), SerialOut.data(),
+                          Out.size() * sizeof(double)),
+              0)
+        << Where;
+    EXPECT_LE(DoubleArray::maxAbsDiff(Ref, Out), 1e-9) << Where;
+    expectSameStats(Par.stats(), Serial.stats(), Where);
+  }
 }
 
 /// Differential check for a construction program.
@@ -69,6 +118,13 @@ void checkConstruction(const std::string &Source, bool ExpectThunkless) {
   ASSERT_TRUE(Ref.has_value()) << ConvErr << "\n" << Source;
   ASSERT_EQ(Ref->size(), Out.size()) << Source;
   EXPECT_LE(DoubleArray::maxAbsDiff(*Ref, Out), 1e-9) << Source;
+
+  checkAcrossThreads(
+      Compiled->Params,
+      [&](Executor &E, DoubleArray &O, std::string &Err) {
+        return Compiled->evaluate(O, E, Err);
+      },
+      *Ref, Source);
 }
 
 class PropertyTest : public ::testing::TestWithParam<unsigned> {};
@@ -184,11 +240,20 @@ void checkUpdate(const std::string &Source, int64_t N, unsigned Rank,
   ASSERT_TRUE(Compiled.has_value()) << C.diags().str() << "\n" << Source;
   ASSERT_TRUE(Compiled->InPlace)
       << Compiled->FallbackReason << "\n" << Source;
+  DoubleArray Initial = Target;
   Executor Exec(Compiled->Params);
   std::string Err;
   ASSERT_TRUE(Compiled->evaluateInPlace(Target, Exec, Err))
       << Err << "\n" << Source;
   EXPECT_LE(DoubleArray::maxAbsDiff(*Ref, Target), 1e-9) << Source;
+
+  checkAcrossThreads(
+      Compiled->Params,
+      [&](Executor &E, DoubleArray &O, std::string &Err) {
+        O = Initial;
+        return Compiled->evaluateInPlace(O, E, Err);
+      },
+      *Ref, Source);
 }
 
 } // namespace
@@ -321,6 +386,14 @@ TEST_P(PropertyTest, StorageReuseConstructions) {
     EXPECT_LE(DoubleArray::maxAbsDiff(*Ref, Target), 1e-9) << Source;
     // The wavefront needs no temporaries at all.
     EXPECT_EQ(Exec.stats().RingSaves + Exec.stats().SnapshotCopies, 0u);
+
+    checkAcrossThreads(
+        Compiled->Params,
+        [&](Executor &E, DoubleArray &O, std::string &Err) {
+          O = B;
+          return Compiled->evaluateInPlace(O, E, Err);
+        },
+        *Ref, Source);
   }
 }
 
