@@ -447,10 +447,13 @@ int dumpLIR(const std::string &What, const ExecPlan &Plan,
   if (Threads > 1)
     lir::legalizePar(P, /*ForC=*/false);
   std::printf("=== LIR (after passes: %llu hoisted, %llu strength-reduced, "
-              "%llu dce, %llu absint-elim) ===\n%s",
+              "%llu ivs-coalesced, %llu dce, %llu counters-folded, "
+              "%llu absint-elim) ===\n%s",
               (unsigned long long)P.NumHoisted,
               (unsigned long long)P.NumStrengthReduced,
+              (unsigned long long)P.NumIvsCoalesced,
               (unsigned long long)P.NumDce,
+              (unsigned long long)P.NumCountersFolded,
               (unsigned long long)P.NumAbsintElim,
               lir::printLIR(P).c_str());
   std::string VerifyErr = lir::verify(P);

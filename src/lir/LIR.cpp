@@ -284,6 +284,12 @@ std::string lir::verify(const LIRProgram &P) {
     }
     if (Inst.Op == LOp::ModImmI && Inst.Imm0 == 0)
       return Bad(I, "modimm.i by zero");
+    // Only load.t, load.in and store.t take an address displacement.
+    if ((Inst.Op == LOp::LoadRing || Inst.Op == LOp::LoadSnap ||
+         Inst.Op == LOp::SaveRing || Inst.Op == LOp::SnapSaveT) &&
+        Inst.Imm1 != 0)
+      return Bad(I, std::string(opName(Inst.Op)) +
+                        " with an address displacement");
 
     // String table references.
     if ((Inst.Op == LOp::Fail || Inst.Op == LOp::CheckIdx ||
@@ -336,6 +342,15 @@ std::string lir::printLIR(const LIRProgram &P) {
                         ? "%f"
                         : "%i";
     return R + std::to_string(S);
+  };
+  // A memory address: the slot, then any displacement as +k / -k.
+  auto Addr = [&](const LInst &Inst) {
+    std::string A = Slot(Inst.B);
+    if (Inst.Imm1 > 0)
+      A += '+';
+    if (Inst.Imm1 != 0)
+      A += std::to_string(Inst.Imm1);
+    return A;
   };
   for (size_t I = 0; I != P.Code.size(); ++I) {
     const LInst &Inst = P.Code[I];
@@ -401,11 +416,11 @@ std::string lir::printLIR(const LIRProgram &P) {
       OS << "}";
       break;
     case LOp::LoadT:
-      OS << Slot(Inst.A) << " = load.t [" << Slot(Inst.B) << "]";
+      OS << Slot(Inst.A) << " = load.t [" << Addr(Inst) << "]";
       break;
     case LOp::LoadIn:
       OS << Slot(Inst.A) << " = load.in in" << Inst.Imm0 << "["
-         << Slot(Inst.B) << "]";
+         << Addr(Inst) << "]";
       break;
     case LOp::LoadRing:
       OS << Slot(Inst.A) << " = load.ring ring" << Inst.Imm0 << "["
@@ -416,7 +431,7 @@ std::string lir::printLIR(const LIRProgram &P) {
          << Slot(Inst.B) << "]";
       break;
     case LOp::StoreT:
-      OS << "store.t [" << Slot(Inst.B) << "] = " << Slot(Inst.C);
+      OS << "store.t [" << Addr(Inst) << "] = " << Slot(Inst.C);
       break;
     case LOp::SaveRing:
       OS << "save.ring ring" << Inst.Imm0 << "[" << Slot(Inst.B)

@@ -89,12 +89,14 @@ enum class LOp : uint8_t {
   // Else: Jump -> IfEnd.
   IfBegin, Else, IfEnd,
 
-  // Memory. All loads count ExecStats::Loads in the evaluator.
-  LoadT,    ///< A = target[B]
-  LoadIn,   ///< A = inputs[Imm0][B]
+  // Memory. All loads count ExecStats::Loads in the evaluator. LoadT,
+  // LoadIn and StoreT address R[B] + Imm1: the displacement lets IV
+  // coalescing fold a constant offset into the access (0 = plain R[B]).
+  LoadT,    ///< A = target[B + Imm1]
+  LoadIn,   ///< A = inputs[Imm0][B + Imm1]
   LoadRing, ///< A = ring[Imm0][B]
   LoadSnap, ///< A = snap[Imm0][B]
-  StoreT,   ///< target[B] = C; marks B defined; counts Stores
+  StoreT,   ///< target[B + Imm1] = C; marks it defined; counts Stores
   SaveRing, ///< ring[Imm0][B] = target[C]; counts RingSaves
   SnapSaveT,///< snap[Imm0][B] = target[C]; counts SnapshotCopies
 
@@ -105,9 +107,10 @@ enum class LOp : uint8_t {
   // target element B is not yet defined (schedule validation).
   CheckIdx, CheckCollision, CheckDefined, CheckNonZeroI,
 
-  // ExecStats counters (ExecOnly; Imm0 = increment). The passes never
-  // move or delete these: counter semantics stay bit-identical to the
-  // seed tree-walking executor no matter what the optimizer does.
+  // ExecStats counters (ExecOnly; Imm0 = increment). The passes may
+  // merge and hoist them (counter folding) but keep ExecStats totals
+  // identical on success and at every failure point, so the optimizer
+  // never changes what a run reports.
   CountBounds, CountGuard, CountFused,
 
   // Unconditional failure with message Str. The evaluator fails only
@@ -153,8 +156,7 @@ struct LInst {
   int32_t Jump = -1;
   /// LoopBegin/LoopDynBegin: index into LIRProgram::Loops, or -1. The
   /// passes copy instructions wholesale, so the attribution survives
-  /// LICM, strength reduction, check hoisting, DCE, and the par-flag
-  /// rewrites; only the profiler reads it.
+  /// every pass and the par-flag rewrites; only the profiler reads it.
   int32_t Meta = -1;
 
   bool execOnly() const { return Flags & FlagExecOnly; }
@@ -218,6 +220,12 @@ struct LIRProgram {
   uint64_t NumHoisted = 0;
   uint64_t NumStrengthReduced = 0;
   uint64_t NumDce = 0;
+  /// Carried address slots folded onto another induction of their loop
+  /// (lir.ivs_coalesced).
+  uint64_t NumIvsCoalesced = 0;
+  /// Counter instructions merged into another or hoisted out of a loop
+  /// (lir.counters_folded).
+  uint64_t NumCountersFolded = 0;
   /// Residual checks deleted by the abstract-interpretation second-chance
   /// pass (lir.absint.second_chance).
   uint64_t NumAbsintElim = 0;

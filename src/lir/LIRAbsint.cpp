@@ -1059,7 +1059,7 @@ struct Engine {
     const LInst &I = P.Code[Idx];
     if (S.Dead || !Recording)
       return;
-    Lin Al = intSlot(I.B) ? S.L[I.B] : linUnknown();
+    Lin Al = intSlot(I.B) ? linAddConst(S.L[I.B], I.Imm1) : linUnknown();
     bool AnyPar = false;
     for (size_t K = 0; K != Frames.size(); ++K) {
       const Frame &F = Frames[K];
@@ -1150,11 +1150,11 @@ struct Engine {
     if (S.Dead)
       return;
     if (Recording) {
-      Lin Al = intSlot(I.B) ? S.L[I.B] : linUnknown();
+      Lin Al = intSlot(I.B) ? linAddConst(S.L[I.B], I.Imm1) : linUnknown();
       if (Al.Known)
         for (auto &F : Frames)
           F.BodyLoads.push_back(Al);
-      Interval In = bestIv(I.B);
+      Interval In = addIv(bestIv(I.B), constIv(I.Imm1));
       if (P.TargetSize > 0 &&
           In.within(0, static_cast<int64_t>(P.TargetSize) - 1))
         ++Res.Stats.LoadsProven;
@@ -1426,6 +1426,10 @@ unsigned lir::secondChance(LIRProgram &P,
   }
   P.Code = std::move(NewCode);
   P.NumAbsintElim += N;
+  // The deleted checks may have been the last readers of their operand
+  // chains, and the only thing keeping counters apart.
+  if (N)
+    cleanup(P);
   return N;
 }
 

@@ -34,9 +34,10 @@
 ///   3. the second-chance eliminator: residual CheckIdx / CheckNonZeroI
 ///      instructions whose incoming range is proven inside the checked
 ///      set *after* LICM and strength reduction are deleted, with one
-///      HAC012 note per elimination. Counter instructions, collision and
-///      definedness checks are never touched, so ExecStats stays
-///      bit-identical.
+///      HAC012 note per elimination. Collision and definedness checks
+///      are never touched; after a deletion the DCE and counter folding
+///      passes re-run (lir::cleanup), which keep ExecStats totals
+///      identical on success and at every failure point.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -150,10 +151,11 @@ struct SecondChanceNote {
 /// the post-optimization analysis — including claims already validated
 /// (their re-proof succeeded, so the validation shadow is redundant) and
 /// residual checks the front end could not remove (each of those gets a
-/// note). Never touches CountBounds/CountGuard/CountFused (ExecStats
-/// parity), CheckCollision, CheckDefined, or Fail. Runs on unsealed,
-/// optimized code, before seal(). Returns the number of deletions and
-/// accumulates it into P.NumAbsintElim.
+/// note). Never deletes CheckCollision, CheckDefined, or Fail. When it
+/// deletes anything it re-runs lir::cleanup (DCE, counter folding), which
+/// keeps ExecStats totals. Runs on unsealed, optimized code, before
+/// seal(). Returns the number of deletions and accumulates it into
+/// P.NumAbsintElim.
 unsigned secondChance(LIRProgram &P,
                       std::vector<SecondChanceNote> *Notes = nullptr);
 

@@ -372,11 +372,11 @@ bool Machine::runSpanImpl(size_t Lo, size_t Hi, Reg *R, LocalCounters &C,
       break;
 
     case LOp::LoadT:
-      R[I.A].d = Target[static_cast<size_t>(R[I.B].i)];
+      R[I.A].d = Target[static_cast<size_t>(R[I.B].i + I.Imm1)];
       ++C.Loads;
       break;
     case LOp::LoadIn:
-      R[I.A].d = Inputs[static_cast<size_t>(I.Imm0)][R[I.B].i];
+      R[I.A].d = Inputs[static_cast<size_t>(I.Imm0)][R[I.B].i + I.Imm1];
       ++C.Loads;
       break;
     case LOp::LoadRing:
@@ -388,7 +388,7 @@ bool Machine::runSpanImpl(size_t Lo, size_t Hi, Reg *R, LocalCounters &C,
       ++C.Loads;
       break;
     case LOp::StoreT: {
-      size_t Lin = static_cast<size_t>(R[I.B].i);
+      size_t Lin = static_cast<size_t>(R[I.B].i + I.Imm1);
       Target[Lin] = R[I.C].d;
       Target.setDefined(Lin);
       ++C.Stores;

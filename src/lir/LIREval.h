@@ -15,8 +15,9 @@
 /// iteration space, wavefront pairs sweep anti-diagonal fronts with a
 /// barrier per front. Each task runs on a private copy of the register
 /// file and accumulates ExecStats counters locally; the merged totals
-/// are bit-identical to the serial run because counter instructions are
-/// never moved and iteration sets are exactly partitioned.
+/// are bit-identical to the serial run because every thread count runs
+/// the same counter instructions and iteration sets are exactly
+/// partitioned.
 ///
 //===----------------------------------------------------------------------===//
 

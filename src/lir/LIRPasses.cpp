@@ -4,16 +4,22 @@
 // never the Jump fields — but the def/use scans need the loop-closer
 // operand mirroring seal() performs, so optimize() seals on entry and
 // the caller must seal again afterwards (moves invalidate Jump).
-// Counter instructions (CountBounds/CountGuard/CountFused) and
-// memory/check operations are never created, moved, or deleted except
-// where documented: ExecStats totals stay bit-identical to the seed
-// tree-walking executor.
+//
+// Every pass is one sweep: the loop passes visit the loops innermost
+// first and, when a visit edits the stream, shift the bounds of the
+// loops still to come instead of rescanning; coalescing, DCE and
+// counter folding are linear walks over the stream.
+//
+// Memory and check operations are never created, moved, or deleted
+// except where documented. Counter instructions (CountBounds/CountGuard/
+// CountFused) are only merged and hoisted by counter folding, whose
+// contract is that ExecStats totals are identical on success and at
+// every failure point.
 //
 //===----------------------------------------------------------------------===//
 
 #include "lir/LIRPasses.h"
 
-#include <map>
 #include <optional>
 #include <set>
 #include <vector>
@@ -29,6 +35,11 @@ bool isOpenOp(LOp Op) {
 }
 bool isCloseOp(LOp Op) {
   return Op == LOp::LoopEnd || Op == LOp::LoopDynEnd || Op == LOp::IfEnd;
+}
+
+/// The memory operations whose address is `R[B] + Imm1`.
+bool hasDisplacement(LOp Op) {
+  return Op == LOp::LoadT || Op == LOp::LoadIn || Op == LOp::StoreT;
 }
 
 struct Region {
@@ -54,27 +65,91 @@ std::vector<Region> collectLoops(const std::vector<LInst> &Code) {
   return Loops;
 }
 
-std::vector<std::vector<size_t>> defSites(const LIRProgram &P) {
-  std::vector<std::vector<size_t>> Defs(P.NumSlots);
-  int32_t W[2];
-  for (size_t I = 0; I != P.Code.size(); ++I) {
-    int N = writtenSlots(P.Code[I], W);
-    for (int K = 0; K != N; ++K)
-      Defs[W[K]].push_back(I);
+/// For every region opener, the index of its closing marker (and of the
+/// Else of an if, or the IfEnd when there is none).
+struct RegionMap {
+  std::vector<size_t> Close, Else;
+  explicit RegionMap(const std::vector<LInst> &Code)
+      : Close(Code.size(), 0), Else(Code.size(), 0) {
+    std::vector<size_t> Stack;
+    for (size_t I = 0; I != Code.size(); ++I) {
+      LOp Op = Code[I].Op;
+      if (isOpenOp(Op)) {
+        Stack.push_back(I);
+      } else if (Op == LOp::Else) {
+        Else[Stack.back()] = I;
+      } else if (isCloseOp(Op)) {
+        size_t B = Stack.back();
+        Stack.pop_back();
+        Close[B] = I;
+        if (Code[B].Op == LOp::IfBegin && Else[B] == 0)
+          Else[B] = I;
+      }
+    }
   }
-  return Defs;
+};
+
+/// A set of slots that clears in O(1).
+class SlotSet {
+  std::vector<uint32_t> Stamp;
+  uint32_t Cur = 1;
+
+public:
+  void clear(size_t NumSlots) {
+    if (Stamp.size() < NumSlots)
+      Stamp.resize(NumSlots, 0);
+    ++Cur;
+  }
+  void insert(int32_t S) { Stamp[static_cast<size_t>(S)] = Cur; }
+  void erase(int32_t S) { Stamp[static_cast<size_t>(S)] = 0; }
+  bool contains(int32_t S) const {
+    return static_cast<size_t>(S) < Stamp.size() &&
+           Stamp[static_cast<size_t>(S)] == Cur;
+  }
+};
+
+/// Resets \p W to the slots written anywhere in L, markers included.
+void markWritten(const LIRProgram &P, Region L, SlotSet &W) {
+  W.clear(P.NumSlots);
+  int32_t Buf[2];
+  for (size_t I = L.Begin; I <= L.End; ++I) {
+    int N = writtenSlots(P.Code[I], Buf);
+    for (int K = 0; K != N; ++K)
+      W.insert(Buf[K]);
+  }
 }
 
-std::vector<std::vector<size_t>> useSites(const LIRProgram &P) {
-  std::vector<std::vector<size_t>> Uses(P.NumSlots);
-  int32_t R[3];
-  for (size_t I = 0; I != P.Code.size(); ++I) {
-    int N = readSlots(P.Code[I], R);
-    for (int K = 0; K != N; ++K)
-      Uses[R[K]].push_back(I);
+/// Whole-stream definition and read counts per slot, kept current by
+/// the passes that add or delete instructions.
+struct SlotCounts {
+  std::vector<uint32_t> Defs, Uses;
+  explicit SlotCounts(const LIRProgram &P) {
+    for (const LInst &I : P.Code)
+      add(I, P.NumSlots);
   }
-  return Uses;
-}
+  void add(const LInst &I, size_t NumSlots) {
+    if (Defs.size() < NumSlots) {
+      Defs.resize(NumSlots, 0);
+      Uses.resize(NumSlots, 0);
+    }
+    int32_t Buf[3];
+    int N = writtenSlots(I, Buf);
+    for (int K = 0; K != N; ++K)
+      ++Defs[Buf[K]];
+    N = readSlots(I, Buf);
+    for (int K = 0; K != N; ++K)
+      ++Uses[Buf[K]];
+  }
+  void remove(const LInst &I) {
+    int32_t Buf[3];
+    int N = writtenSlots(I, Buf);
+    for (int K = 0; K != N; ++K)
+      --Defs[Buf[K]];
+    N = readSlots(I, Buf);
+    for (int K = 0; K != N; ++K)
+      --Uses[Buf[K]];
+  }
+};
 
 /// Indices of the instructions at nesting depth 0 of the loop body
 /// (region markers themselves excluded).
@@ -99,75 +174,66 @@ std::vector<size_t> topLevelOf(const std::vector<LInst> &Code, Region L) {
   return Out;
 }
 
-bool allOutside(const std::vector<size_t> &Sites, Region L) {
-  for (size_t S : Sites)
-    if (S >= L.Begin && S <= L.End)
-      return false;
-  return true;
+/// Moves the flagged top-level instructions of L, in order, ahead of its
+/// LoopBegin. Everything stays inside the enclosing loops, so the bounds
+/// of every region outside L are unchanged.
+void moveToPreheader(LIRProgram &P, Region L, const std::vector<size_t> &Top,
+                     const std::vector<char> &Move) {
+  std::vector<LInst> Seg;
+  Seg.reserve(L.End - L.Begin + 1);
+  for (size_t K = 0; K != Top.size(); ++K)
+    if (Move[K])
+      Seg.push_back(P.Code[Top[K]]);
+  size_t K = 0;
+  for (size_t I = L.Begin; I <= L.End; ++I) {
+    if (K < Top.size() && Top[K] == I && Move[K++])
+      continue;
+    Seg.push_back(P.Code[I]);
+  }
+  std::copy(Seg.begin(), Seg.end(),
+            P.Code.begin() + static_cast<ptrdiff_t>(L.Begin));
 }
 
 //===--------------------------------------------------------------------===//
 // Loop-invariant code motion
 //===--------------------------------------------------------------------===//
 
-bool licmLoop(LIRProgram &P, Region L) {
-  auto Defs = defSites(P);
-  auto Top = topLevelOf(P.Code, L);
-  std::set<size_t> Moved;
-  std::set<int32_t> MovedDst;
-  bool Grow = true;
-  while (Grow) {
+uint64_t licmLoop(LIRProgram &P, Region L, const SlotCounts &SC,
+                  SlotSet &W) {
+  markWritten(P, L, W);
+  std::vector<size_t> Top = topLevelOf(P.Code, L);
+  std::vector<char> Move(Top.size(), 0);
+  uint64_t N = 0;
+  for (bool Grow = true; Grow;) {
     Grow = false;
-    for (size_t I : Top) {
-      if (Moved.count(I))
-        continue;
-      const LInst &In = P.Code[I];
-      if (!isPureValueOp(In.Op))
-        continue;
-      if (Defs[In.A].size() != 1)
+    for (size_t K = 0; K != Top.size(); ++K) {
+      const LInst &In = P.Code[Top[K]];
+      if (Move[K] || !isPureValueOp(In.Op) || SC.Defs[In.A] != 1)
         continue;
       int32_t Rd[3];
-      int N = readSlots(In, Rd);
+      int NR = readSlots(In, Rd);
       bool OK = true;
-      for (int K = 0; K != N; ++K)
-        if (!MovedDst.count(Rd[K]) && !allOutside(Defs[Rd[K]], L)) {
-          OK = false;
-          break;
-        }
+      for (int J = 0; J != NR && OK; ++J)
+        OK = !W.contains(Rd[J]);
       if (!OK)
         continue;
-      Moved.insert(I);
-      MovedDst.insert(In.A);
+      Move[K] = 1;
+      W.erase(In.A); // its only definition now sits outside the loop
+      ++N;
       Grow = true;
     }
   }
-  if (Moved.empty())
-    return false;
-  std::vector<LInst> NewCode;
-  NewCode.reserve(P.Code.size());
-  for (size_t I = 0; I != P.Code.size(); ++I) {
-    if (I == L.Begin)
-      for (size_t M : Moved) // std::set iterates ascending: order kept
-        NewCode.push_back(P.Code[M]);
-    if (!Moved.count(I))
-      NewCode.push_back(P.Code[I]);
-  }
-  P.Code = std::move(NewCode);
-  P.NumHoisted += Moved.size();
-  return true;
+  if (N)
+    moveToPreheader(P, L, Top, Move);
+  return N;
 }
 
-bool licmPass(LIRProgram &P) {
-  bool Any = false, Changed = true;
-  while (Changed) {
-    Changed = false;
-    for (Region L : collectLoops(P.Code))
-      if (licmLoop(P, L)) { // indices now stale: rescan
-        Any = Changed = true;
-        break;
-      }
-  }
-  return Any;
+bool licmSweep(LIRProgram &P, const SlotCounts &SC, SlotSet &W) {
+  uint64_t N = 0;
+  for (Region L : collectLoops(P.Code))
+    N += licmLoop(P, L, SC, W);
+  P.NumHoisted += N;
+  return N != 0;
 }
 
 //===--------------------------------------------------------------------===//
@@ -181,47 +247,76 @@ bool licmPass(LIRProgram &P) {
 /// the in-loop definition disappears. Chains reference the fresh
 /// preheader slots, so the init code is itself single-definition and
 /// reducible when the enclosing loop is processed (multi-level SR).
-bool srLoop(LIRProgram &P, Region L) {
+/// Returns the number of instructions the stream grew by.
+size_t srLoop(LIRProgram &P, Region L, SlotCounts &SC, SlotSet &W) {
   const LInst Begin = P.Code[L.Begin];
   if (Begin.Op != LOp::LoopBegin)
-    return false;
+    return 0;
   // Parallel loops enter the iteration space at arbitrary chunk
   // boundaries, which a carried slot (preheader init + tail increment)
   // cannot survive; par-flagged loops opt out of strength reduction.
   // Single-threaded backends strip the flags first, so the serial
   // pipeline is unchanged.
   if (Begin.Flags & ParFlagMask)
-    return false;
+    return 0;
+  std::vector<size_t> Top = topLevelOf(P.Code, L);
+  bool AnyCandidate = false;
+  for (size_t I : Top) {
+    LOp Op = P.Code[I].Op;
+    AnyCandidate |= Op == LOp::AddImmI || Op == LOp::MulImmI ||
+                    Op == LOp::AddI || Op == LOp::SubI;
+  }
+  if (!AnyCandidate)
+    return 0;
+
   const int32_t Iv = Begin.A, Ord = Begin.B;
   const int64_t IvDelta = Begin.Imm1;
   const int64_t OrdDelta = Begin.backward() ? -1 : 1;
   const int64_t IvInit = Begin.Imm0;
   const int64_t OrdInit = Begin.backward() ? Begin.Imm2 : 1;
+  markWritten(P, L, W);
+  // Reads inside L per slot, counted on the first candidate that gets
+  // as far as the escape test.
+  std::vector<uint32_t> InUses;
+  auto usedOnlyInside = [&](int32_t S) {
+    if (InUses.empty()) {
+      InUses.assign(P.NumSlots, 0);
+      int32_t Rd[3];
+      for (size_t I = L.Begin; I <= L.End; ++I) {
+        int N = readSlots(P.Code[I], Rd);
+        for (int K = 0; K != N; ++K)
+          ++InUses[Rd[K]];
+      }
+    }
+    return InUses[S] == SC.Uses[S];
+  };
 
-  auto Defs = defSites(P);
-  auto Uses = useSites(P);
-  auto Top = topLevelOf(P.Code, L);
-
-  std::map<int32_t, int64_t> Delta;  // accepted dst -> per-iter delta
-  std::map<int32_t, int32_t> Fresh;  // accepted dst -> preheader slot
-  std::set<size_t> Removed;
+  std::vector<std::pair<int32_t, int64_t>> Delta; // accepted dst, delta
+  std::vector<std::pair<int32_t, int64_t>> Fresh; // accepted dst, init slot
+  std::vector<char> Removed(Top.size(), 0);
   std::vector<LInst> Pre, Tail;
   int32_t IvC = -1, OrdC = -1;
 
+  auto find = [](const std::vector<std::pair<int32_t, int64_t>> &V,
+                 int32_t S) -> std::optional<int64_t> {
+    for (const auto &[K, X] : V)
+      if (K == S)
+        return X;
+    return std::nullopt;
+  };
   auto getDelta = [&](int32_t S) -> std::optional<int64_t> {
     if (S == Iv)
       return IvDelta;
     if (S == Ord)
       return OrdDelta;
-    auto It = Delta.find(S);
-    if (It != Delta.end())
-      return It->second;
-    if (allOutside(Defs[S], L))
+    if (auto D = find(Delta, S))
+      return D;
+    if (!W.contains(S))
       return 0;
     return std::nullopt;
   };
   auto canMaterialize = [&](int32_t S) {
-    return S == Iv || S == Ord || Fresh.count(S) || allOutside(Defs[S], L);
+    return S == Iv || S == Ord || find(Fresh, S) || !W.contains(S);
   };
   auto materializeConst = [&](int32_t &Cache, int64_t V) {
     if (Cache < 0) {
@@ -239,12 +334,11 @@ bool srLoop(LIRProgram &P, Region L) {
       return materializeConst(IvC, IvInit);
     if (S == Ord)
       return materializeConst(OrdC, OrdInit);
-    auto It = Fresh.find(S);
-    return It != Fresh.end() ? It->second : S;
+    return static_cast<int32_t>(find(Fresh, S).value_or(S));
   };
 
-  for (size_t I : Top) {
-    const LInst &In = P.Code[I];
+  for (size_t K = 0; K != Top.size(); ++K) {
+    const LInst &In = P.Code[Top[K]];
     std::optional<int64_t> D;
     switch (In.Op) {
     case LOp::AddImmI:
@@ -267,22 +361,15 @@ bool srLoop(LIRProgram &P, Region L) {
     default:
       continue;
     }
-    if (!D || *D == 0)
+    if (!D || *D == 0 || SC.Defs[In.A] != 1)
       continue;
-    if (Defs[In.A].size() != 1)
-      continue;
-    if (!allOutside(Uses[In.A], Region{0, L.Begin}) ||
-        !allOutside(Uses[In.A], Region{L.End + 1, P.Code.size()}))
-      continue; // a use outside the loop would see init + Trip*delta
     int32_t Rd[3];
     int N = readSlots(In, Rd);
     bool OK = true;
-    for (int K = 0; K != N; ++K)
-      if (!canMaterialize(Rd[K])) {
-        OK = false;
-        break;
-      }
-    if (!OK)
+    for (int J = 0; J != N && OK; ++J)
+      OK = canMaterialize(Rd[J]);
+    // A use outside the loop would see init + Trip*delta.
+    if (!OK || !usedOnlyInside(In.A))
       continue;
 
     LInst Init = In;
@@ -303,39 +390,52 @@ bool srLoop(LIRProgram &P, Region L) {
     Inc.B = In.A;
     Inc.Imm0 = *D;
     Tail.push_back(Inc);
-    Fresh[In.A] = F;
-    Delta[In.A] = *D;
-    Removed.insert(I);
+    Fresh.emplace_back(In.A, F);
+    Delta.emplace_back(In.A, *D);
+    Removed[K] = 1;
   }
-  if (Removed.empty())
-    return false;
+  if (Delta.empty())
+    return 0;
 
   std::vector<LInst> NewCode;
   NewCode.reserve(P.Code.size() + Pre.size() + Tail.size());
+  size_t K = 0;
   for (size_t I = 0; I != P.Code.size(); ++I) {
     if (I == L.Begin)
-      for (const LInst &X : Pre)
-        NewCode.push_back(X);
+      NewCode.insert(NewCode.end(), Pre.begin(), Pre.end());
     if (I == L.End)
-      for (const LInst &X : Tail)
-        NewCode.push_back(X);
-    if (!Removed.count(I))
-      NewCode.push_back(P.Code[I]);
+      NewCode.insert(NewCode.end(), Tail.begin(), Tail.end());
+    if (K < Top.size() && Top[K] == I && Removed[K++]) {
+      SC.remove(P.Code[I]);
+      continue;
+    }
+    NewCode.push_back(P.Code[I]);
   }
   P.Code = std::move(NewCode);
-  P.NumStrengthReduced += Removed.size();
-  return true;
+  for (const LInst &X : Pre)
+    SC.add(X, P.NumSlots);
+  for (const LInst &X : Tail)
+    SC.add(X, P.NumSlots);
+  P.NumStrengthReduced += Delta.size();
+  return Pre.size() + Tail.size() - Delta.size();
 }
 
-bool srPass(LIRProgram &P) {
-  bool Any = false, Changed = true;
-  while (Changed) {
-    Changed = false;
-    for (Region L : collectLoops(P.Code))
-      if (srLoop(P, L)) {
-        Any = Changed = true;
-        break;
-      }
+bool srSweep(LIRProgram &P, SlotCounts &SC, SlotSet &W) {
+  std::vector<Region> Loops = collectLoops(P.Code);
+  bool Any = false;
+  for (size_t K = 0; K != Loops.size(); ++K) {
+    const Region L = Loops[K];
+    size_t Grew = srLoop(P, L, SC, W);
+    if (!Grew)
+      continue;
+    Any = true;
+    // Every loop still to visit ends after L: it either encloses L or
+    // lies wholly after it.
+    for (size_t J = K + 1; J != Loops.size(); ++J) {
+      if (Loops[J].Begin > L.End)
+        Loops[J].Begin += Grew;
+      Loops[J].End += Grew;
+    }
   }
   return Any;
 }
@@ -344,85 +444,492 @@ bool srPass(LIRProgram &P) {
 // Check hoisting
 //===--------------------------------------------------------------------===//
 
-bool checkHoistLoop(LIRProgram &P, Region L) {
+uint64_t checkHoistLoop(LIRProgram &P, Region L, SlotSet &W) {
+  const LInst &B = P.Code[L.Begin];
   // Only loops that provably run at least once: hoisting a check out of
   // a zero-trip loop would surface an error the program never hits.
-  if (P.Code[L.Begin].Op != LOp::LoopBegin || P.Code[L.Begin].Imm2 < 1)
-    return false;
   // The destination of a hoist out of a wavefront inner loop is the
   // wavefront prelude, which must stay pure value computation (it is
   // re-run per cell); keep checks inside instead.
-  if (P.Code[L.Begin].Flags & FlagParWaveInner)
-    return false;
-  auto Defs = defSites(P);
-  std::set<size_t> Moved;
-  for (size_t I : topLevelOf(P.Code, L)) {
-    const LInst &In = P.Code[I];
+  if (B.Op != LOp::LoopBegin || B.Imm2 < 1 || (B.Flags & FlagParWaveInner))
+    return 0;
+  std::vector<size_t> Top = topLevelOf(P.Code, L);
+  std::vector<char> Move(Top.size(), 0);
+  uint64_t N = 0;
+  bool Marked = false;
+  for (size_t K = 0; K != Top.size(); ++K) {
+    const LInst &In = P.Code[Top[K]];
     if (In.Op != LOp::CheckIdx)
       continue;
-    if (!allOutside(Defs[In.B], L))
+    if (!Marked) {
+      markWritten(P, L, W);
+      Marked = true;
+    }
+    if (W.contains(In.B))
       continue;
-    Moved.insert(I);
+    Move[K] = 1;
+    ++N;
   }
-  if (Moved.empty())
-    return false;
-  std::vector<LInst> NewCode;
-  NewCode.reserve(P.Code.size());
-  for (size_t I = 0; I != P.Code.size(); ++I) {
-    if (I == L.Begin)
-      for (size_t M : Moved)
-        NewCode.push_back(P.Code[M]);
-    if (!Moved.count(I))
-      NewCode.push_back(P.Code[I]);
-  }
-  P.Code = std::move(NewCode);
-  P.NumHoisted += Moved.size();
-  return true;
+  if (N)
+    moveToPreheader(P, L, Top, Move);
+  return N;
 }
 
-void checkHoistPass(LIRProgram &P) {
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    for (Region L : collectLoops(P.Code))
-      if (checkHoistLoop(P, L)) {
-        Changed = true;
+void checkHoistSweep(LIRProgram &P, SlotSet &W) {
+  for (Region L : collectLoops(P.Code))
+    P.NumHoisted += checkHoistLoop(P, L, W);
+}
+
+//===--------------------------------------------------------------------===//
+// Induction-variable coalescing
+//===--------------------------------------------------------------------===//
+
+/// Rewrites memory addresses onto fewer carried slots. A forward walk
+/// maps every int slot to `value of event Id + C`, where an event is one
+/// opaque definition (Id 0 is the constant zero), through const/mov/
+/// addimm/add/sub with a constant operand, sub of one base, and mulimm
+/// of a constant. Entering a region forgets every slot written inside it.
+///
+/// At a serial static loop, the carried slots (`%x = addimm %x, d` at top
+/// level, the only definition of %x in the loop) whose entry values share
+/// a base and whose steps are equal form one induction: the leader gets
+/// a fresh event, each follower is `leader + c2 - c1` for the whole
+/// iteration until one of them is stepped at the tail. Every LoadT/
+/// LoadIn/StoreT address that is a leader plus a constant is rewritten
+/// to the leader with that displacement; liveness DCE then deletes the
+/// followers nobody else reads. Loops are entered outermost first, so a
+/// coalesced outer induction gives the inner loops' inits one base.
+/// Check operands and loop iv/ord slots are never rewritten.
+class IvCoalescer {
+  struct Sym {
+    uint32_t Id = 0;
+    int64_t C = 0;
+  };
+
+  LIRProgram &P;
+  RegionMap RM;
+  std::vector<Sym> Val;
+  std::vector<int32_t> LeaderOf; ///< event -> the carried slot it names
+  uint32_t NextId = 1;
+
+  Sym fresh() { return {NextId++, 0}; }
+  static std::optional<Sym> offset(Sym S, int64_t K) {
+    int64_t C;
+    if (__builtin_add_overflow(S.C, K, &C))
+      return std::nullopt;
+    return Sym{S.Id, C};
+  }
+
+  /// Slots written in the region opened at \p B, once each.
+  std::vector<int32_t> writtenIn(size_t B, SlotSet &Seen) {
+    Seen.clear(P.NumSlots);
+    std::vector<int32_t> Out;
+    int32_t Buf[2];
+    for (size_t I = B, E = RM.Close[B]; I <= E; ++I) {
+      int N = writtenSlots(P.Code[I], Buf);
+      for (int K = 0; K != N; ++K)
+        if (!Seen.contains(Buf[K])) {
+          Seen.insert(Buf[K]);
+          Out.push_back(Buf[K]);
+        }
+    }
+    return Out;
+  }
+
+  void forget(const std::vector<int32_t> &Slots) {
+    for (int32_t S : Slots)
+      Val[S] = fresh();
+  }
+
+  void transfer(const LInst &In) {
+    int32_t W[2];
+    int NW = writtenSlots(In, W);
+    if (!NW)
+      return;
+    auto V = [&](int32_t S) { return Val[S]; };
+    std::optional<Sym> R;
+    switch (In.Op) {
+    case LOp::ConstI:
+      R = Sym{0, In.Imm0};
+      break;
+    case LOp::MovI:
+      R = V(In.B);
+      break;
+    case LOp::AddImmI:
+      R = offset(V(In.B), In.Imm0);
+      break;
+    case LOp::AddI:
+      if (V(In.C).Id == 0)
+        R = offset(V(In.B), V(In.C).C);
+      else if (V(In.B).Id == 0)
+        R = offset(V(In.C), V(In.B).C);
+      break;
+    case LOp::SubI: {
+      int64_t C;
+      if (V(In.C).Id == 0 && V(In.C).C != INT64_MIN)
+        R = offset(V(In.B), -V(In.C).C);
+      else if (V(In.B).Id == V(In.C).Id &&
+               !__builtin_sub_overflow(V(In.B).C, V(In.C).C, &C))
+        R = Sym{0, C};
+      break;
+    }
+    case LOp::MulImmI: {
+      int64_t C;
+      if (V(In.B).Id == 0 && !__builtin_mul_overflow(V(In.B).C, In.Imm0, &C))
+        R = Sym{0, C};
+      break;
+    }
+    default:
+      break;
+    }
+    for (int K = 0; K != NW; ++K)
+      Val[W[K]] = fresh();
+    if (R)
+      Val[W[0]] = *R;
+  }
+
+  void rewriteAddress(LInst &In) {
+    const Sym A = Val[In.B];
+    if (A.Id >= LeaderOf.size() || LeaderOf[A.Id] < 0)
+      return;
+    const int32_t R = LeaderOf[A.Id];
+    int64_t D, Disp;
+    if (R == In.B || Val[R].Id != A.Id ||
+        __builtin_sub_overflow(A.C, Val[R].C, &D) ||
+        __builtin_add_overflow(In.Imm1, D, &Disp))
+      return;
+    In.B = R;
+    In.Imm1 = Disp;
+  }
+
+  /// Forgets the loop's writes, then re-seeds its carried groups.
+  void enterLoop(size_t B, const std::vector<int32_t> &Written) {
+    const LInst &Begin = P.Code[B];
+    if (Begin.Flags & ParFlagMask) {
+      forget(Written);
+      return;
+    }
+    const size_t E = RM.Close[B];
+    struct Carried {
+      int32_t Slot;
+      int64_t Step;
+      Sym Entry;
+      bool Pinned = false; ///< read by a non-address operand in the loop
+    };
+    std::vector<Carried> Cs;
+    {
+      std::vector<uint32_t> DefsIn(P.NumSlots, 0);
+      int32_t Buf[3];
+      int Depth = 0;
+      for (size_t I = B + 1; I < E; ++I) {
+        const LInst &In = P.Code[I];
+        int N = writtenSlots(In, Buf);
+        for (int K = 0; K != N; ++K)
+          ++DefsIn[Buf[K]];
+        if (isOpenOp(In.Op))
+          ++Depth;
+        else if (isCloseOp(In.Op))
+          --Depth;
+        else if (Depth == 0 && In.Op == LOp::AddImmI && In.A == In.B &&
+                 In.Imm0 != 0)
+          Cs.push_back({In.A, In.Imm0, Val[In.A]});
+      }
+      std::vector<Carried> Keep;
+      for (const Carried &C : Cs)
+        if (DefsIn[C.Slot] == 1)
+          Keep.push_back(C);
+      Cs = std::move(Keep);
+      if (Cs.empty()) {
+        forget(Written);
+        return;
+      }
+      // Reads that coalescing cannot redirect keep a slot alive anyway,
+      // so such a slot makes the cheapest leader.
+      for (size_t I = B + 1; I < E; ++I) {
+        const LInst &In = P.Code[I];
+        if (isPureValueOp(In.Op))
+          continue;
+        int N = readSlots(In, Buf);
+        for (int K = 0; K != N; ++K) {
+          if (hasDisplacement(In.Op) && K == 0)
+            continue; // the address operand
+          for (Carried &C : Cs)
+            C.Pinned |= C.Slot == Buf[K];
+        }
+      }
+    }
+    forget(Written);
+    std::vector<char> Done(Cs.size(), 0);
+    for (size_t G = 0; G != Cs.size(); ++G) {
+      if (Done[G])
+        continue;
+      size_t Lead = G;
+      for (size_t H = G; H != Cs.size(); ++H)
+        if (!Done[H] && Cs[H].Step == Cs[G].Step &&
+            Cs[H].Entry.Id == Cs[G].Entry.Id && Cs[H].Pinned) {
+          Lead = H;
+          break;
+        }
+      const Sym V = fresh();
+      if (LeaderOf.size() <= V.Id)
+        LeaderOf.resize(V.Id + 1, -1);
+      LeaderOf[V.Id] = Cs[Lead].Slot;
+      for (size_t H = G; H != Cs.size(); ++H) {
+        if (Done[H] || Cs[H].Step != Cs[G].Step ||
+            Cs[H].Entry.Id != Cs[G].Entry.Id)
+          continue;
+        int64_t Disp;
+        if (__builtin_sub_overflow(Cs[H].Entry.C, Cs[Lead].Entry.C, &Disp))
+          continue; // stays forgotten: its own induction next time round
+        Done[H] = 1;
+        Val[Cs[H].Slot] = Sym{V.Id, Disp};
+        if (H != Lead)
+          ++P.NumIvsCoalesced;
+      }
+    }
+  }
+
+public:
+  explicit IvCoalescer(LIRProgram &P) : P(P), RM(P.Code), Val(P.NumSlots) {
+    for (Sym &S : Val)
+      S = fresh();
+  }
+
+  void run() {
+    SlotSet Seen;
+    std::vector<std::vector<int32_t>> Open; // writes of each open region
+    for (size_t I = 0; I != P.Code.size(); ++I) {
+      LInst &In = P.Code[I];
+      switch (In.Op) {
+      case LOp::LoopBegin:
+        Open.push_back(writtenIn(I, Seen));
+        enterLoop(I, Open.back());
+        break;
+      case LOp::LoopDynBegin:
+      case LOp::IfBegin:
+        Open.push_back(writtenIn(I, Seen));
+        forget(Open.back());
+        break;
+      case LOp::Else:
+        forget(Open.back());
+        break;
+      case LOp::LoopEnd:
+      case LOp::LoopDynEnd:
+      case LOp::IfEnd:
+        forget(Open.back());
+        Open.pop_back();
+        break;
+      default:
+        if (hasDisplacement(In.Op))
+          rewriteAddress(In);
+        transfer(In);
         break;
       }
+    }
   }
+};
+
+//===--------------------------------------------------------------------===//
+// Liveness DCE
+//===--------------------------------------------------------------------===//
+
+/// Deletes every pure instruction whose destination is dead. A slot is
+/// live when a non-pure instruction reads it, or when a pure instruction
+/// whose destination is live reads it — so a carried slot that only
+/// feeds its own increment dies with it.
+void dce(LIRProgram &P) {
+  const size_t NS = P.NumSlots;
+  // Pure definitions per slot, as a CSR table.
+  std::vector<uint32_t> Start(NS + 1, 0);
+  for (const LInst &I : P.Code)
+    if (isPureValueOp(I.Op))
+      ++Start[I.A + 1];
+  for (size_t S = 0; S != NS; ++S)
+    Start[S + 1] += Start[S];
+  std::vector<uint32_t> Defs(Start[NS]);
+  {
+    std::vector<uint32_t> Fill(Start.begin(), Start.end() - 1);
+    for (size_t I = 0; I != P.Code.size(); ++I)
+      if (isPureValueOp(P.Code[I].Op))
+        Defs[Fill[P.Code[I].A]++] = static_cast<uint32_t>(I);
+  }
+  std::vector<char> Live(NS, 0);
+  std::vector<int32_t> Work;
+  int32_t Rd[3];
+  auto markReads = [&](const LInst &I) {
+    int N = readSlots(I, Rd);
+    for (int K = 0; K != N; ++K)
+      if (!Live[Rd[K]]) {
+        Live[Rd[K]] = 1;
+        Work.push_back(Rd[K]);
+      }
+  };
+  for (const LInst &I : P.Code)
+    if (!isPureValueOp(I.Op))
+      markReads(I);
+  while (!Work.empty()) {
+    int32_t S = Work.back();
+    Work.pop_back();
+    for (uint32_t K = Start[S]; K != Start[S + 1]; ++K)
+      markReads(P.Code[Defs[K]]);
+  }
+  size_t Out = 0;
+  for (size_t I = 0; I != P.Code.size(); ++I) {
+    const LInst &In = P.Code[I];
+    if (isPureValueOp(In.Op) && !Live[In.A])
+      continue;
+    P.Code[Out++] = In;
+  }
+  P.NumDce += P.Code.size() - Out;
+  P.Code.resize(Out);
 }
 
 //===--------------------------------------------------------------------===//
-// Dead instruction elimination
+// Counter folding
 //===--------------------------------------------------------------------===//
 
-void dcePass(LIRProgram &P) {
-  while (true) {
-    std::vector<uint32_t> Reads(P.NumSlots, 0);
-    int32_t Rd[3];
-    for (const LInst &I : P.Code) {
-      int N = readSlots(I, Rd);
-      for (int K = 0; K != N; ++K)
-        ++Reads[Rd[K]];
+/// True for the instructions that can stop a run with an error.
+bool isFailingOp(LOp Op) {
+  return Op == LOp::CheckIdx || Op == LOp::CheckCollision ||
+         Op == LOp::CheckDefined || Op == LOp::CheckNonZeroI ||
+         Op == LOp::Fail;
+}
+
+int counterKind(LOp Op) {
+  switch (Op) {
+  case LOp::CountBounds:
+    return 0;
+  case LOp::CountGuard:
+    return 1;
+  case LOp::CountFused:
+    return 2;
+  default:
+    return -1;
+  }
+}
+
+/// Rebuilds the stream with fewer counter instructions. Within a run of
+/// one nesting level that no failing instruction (or failing nested
+/// region) interrupts, all counters of one kind merge into the first;
+/// a static loop whose whole body cannot fail and runs at least once
+/// hands its top-level counters to its preheader as `Imm0 * trip`,
+/// innermost loops first. No failure point ever sees a different total.
+/// Wavefront inner loops keep their counters: their preheader is the
+/// pure wave prelude.
+class CounterFolder {
+  const std::vector<LInst> &In;
+  RegionMap RM;
+
+  /// Output position of the current run's counter of each kind.
+  struct Run {
+    int64_t At[3] = {-1, -1, -1};
+    void reset() { At[0] = At[1] = At[2] = -1; }
+  };
+
+  /// Adds \p N events of \p C's kind to the run, merging into the run's
+  /// counter of that kind when it has one.
+  bool add(std::vector<LInst> &Out, Run &R, const LInst &C, int64_t N) {
+    const int K = counterKind(C.Op);
+    int64_t Sum;
+    if (R.At[K] >= 0 &&
+        !__builtin_add_overflow(Out[R.At[K]].Imm0, N, &Sum)) {
+      Out[R.At[K]].Imm0 = Sum;
+      return true;
     }
-    std::vector<LInst> NewCode;
-    NewCode.reserve(P.Code.size());
-    uint64_t NRemoved = 0;
-    for (const LInst &I : P.Code) {
-      if (isPureValueOp(I.Op) && Reads[I.A] == 0) {
-        ++NRemoved;
+    R.At[K] = static_cast<int64_t>(Out.size());
+    Out.push_back(C);
+    Out.back().Imm0 = N;
+    return false;
+  }
+
+  /// Emits [Lo, Hi) of one nesting level; true when anything in it can fail.
+  bool seq(size_t Lo, size_t Hi, std::vector<LInst> &Out, Run &R) {
+    bool CanFail = false;
+    for (size_t I = Lo; I < Hi; ++I) {
+      const LInst &X = In[I];
+      if (counterKind(X.Op) >= 0) {
+        Folded += add(Out, R, X, X.Imm0);
         continue;
       }
-      NewCode.push_back(I);
+      bool Fails;
+      if (isOpenOp(X.Op)) {
+        Fails = region(I, Out, R);
+        I = RM.Close[I];
+      } else {
+        Out.push_back(X);
+        Fails = isFailingOp(X.Op);
+      }
+      if (Fails) {
+        CanFail = true;
+        R.reset();
+      }
     }
-    if (!NRemoved)
-      break;
-    P.Code = std::move(NewCode);
-    P.NumDce += NRemoved;
+    return CanFail;
   }
-}
+
+  bool region(size_t B, std::vector<LInst> &Out, Run &Outer) {
+    const LInst &Begin = In[B];
+    const size_t E = RM.Close[B];
+    Run R;
+    if (Begin.Op != LOp::LoopBegin) {
+      Out.push_back(Begin);
+      const size_t Mid = RM.Else[B];
+      bool Fails = seq(B + 1, Begin.Op == LOp::IfBegin ? Mid : E, Out, R);
+      if (Begin.Op == LOp::IfBegin && Mid != E) {
+        Out.push_back(In[Mid]);
+        Run ElseRun;
+        Fails |= seq(Mid + 1, E, Out, ElseRun);
+      }
+      Out.push_back(In[E]);
+      return Fails;
+    }
+    std::vector<LInst> Body;
+    const bool Fails = seq(B + 1, E, Body, R);
+    if (!Fails && Begin.Imm2 >= 1 && !(Begin.Flags & FlagParWaveInner))
+      for (int64_t At : R.At) {
+        int64_t Total;
+        if (At < 0 || __builtin_mul_overflow(Body[At].Imm0, Begin.Imm2, &Total))
+          continue;
+        add(Out, Outer, Body[At], Total);
+        Body[At].Imm0 = 0; // dropped below
+        ++Folded;          // one hoist, merged or not
+      }
+    Out.push_back(Begin);
+    for (const LInst &X : Body)
+      if (counterKind(X.Op) < 0 || X.Imm0 != 0)
+        Out.push_back(X);
+    Out.push_back(In[E]);
+    return Fails;
+  }
+
+public:
+  /// Counters merged into another plus counters hoisted out of a loop.
+  uint64_t Folded = 0;
+
+  explicit CounterFolder(const std::vector<LInst> &Code)
+      : In(Code), RM(Code) {}
+
+  std::vector<LInst> run() {
+    std::vector<LInst> Out;
+    Out.reserve(In.size());
+    Run R;
+    seq(0, In.size(), Out, R);
+    return Out;
+  }
+};
 
 } // namespace
+
+void lir::cleanup(LIRProgram &P) {
+  // Liveness reads the loop closers' mirrored operands (see optimize()).
+  std::string SealErr;
+  if (!seal(P, SealErr))
+    return;
+  dce(P);
+  CounterFolder F(P.Code);
+  P.Code = F.run();
+  P.NumCountersFolded += F.Folded;
+}
 
 void lir::optimize(LIRProgram &P) {
   // The def/use scans read loop-closer operands, which only exist after
@@ -435,16 +942,15 @@ void lir::optimize(LIRProgram &P) {
   // become materializable SR operands; alternate to fixpoint because SR
   // init code exposes new invariants at the enclosing loop level (and
   // vice versa).
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    if (licmPass(P))
-      Changed = true;
-    if (srPass(P))
-      Changed = true;
+  SlotCounts SC(P);
+  SlotSet W;
+  for (bool Changed = true; Changed;) {
+    Changed = licmSweep(P, SC, W);
+    Changed |= srSweep(P, SC, W);
   }
-  checkHoistPass(P);
-  dcePass(P);
+  checkHoistSweep(P, W);
+  IvCoalescer(P).run();
+  cleanup(P);
 }
 
 void lir::stripParFlags(LIRProgram &P) {

@@ -10,25 +10,31 @@
 /// stream, every pass lands in the in-process runtime and the emitted C
 /// simultaneously.
 ///
-///   1. Strength reduction — address chains (AddImmI/MulImmI/AddI/SubI)
+///   1. Loop-invariant code motion — pure single-definition computations
+///      whose operands are defined outside the loop move to the
+///      preheader (innermost-first, so invariants climb out of whole
+///      nests).
+///   2. Strength reduction — address chains (AddImmI/MulImmI/AddI/SubI)
 ///      whose value changes by a loop-constant delta per iteration
 ///      become carried slots: initialized in the preheader, bumped by
 ///      one AddImmI at the loop tail. Kills the per-element row-major
-///      multiply chains the ISSUE calls out.
-///   2. Loop-invariant code motion — pure single-definition computations
-///      whose operands are defined outside the loop move to the
-///      preheader (innermost-first, to fixpoint, so invariants climb
-///      out of whole nests).
+///      multiply chains. 1 and 2 alternate to a fixpoint.
 ///   3. Check hoisting — loop-invariant CheckIdx instructions in loops
-///      with a static trip count >= 1 move to the preheader. Counter
-///      instructions (CountBounds et al.) never move: ExecStats stays
-///      bit-identical to the seed tree-walking executor.
-///   4. Dead instruction elimination — pure computations whose results
-///      are never read are deleted, to fixpoint.
+///      with a static trip count >= 1 move to the preheader.
+///   4. IV coalescing — carried slots of one loop that step by the same
+///      delta and start a compile-time constant apart are one induction:
+///      loads and stores address the leader plus a displacement (Imm1).
+///   5. Liveness DCE — pure computations whose results never reach a
+///      non-pure instruction are deleted, including carried slots that
+///      only feed their own increment.
+///   6. Counter folding — same-kind counters of a failure-free run merge,
+///      and the counters of a static loop that cannot fail move to its
+///      preheader as `increment * trip`. ExecStats totals stay identical
+///      on success and at every failure point.
 ///
-/// Passes run on unsealed code (Jump fields unresolved); call seal()
-/// afterwards. Statistics accumulate into the program's NumHoisted /
-/// NumStrengthReduced / NumDce fields.
+/// Each pass is a single sweep over the loops or the stream. Passes run
+/// on unsealed code (Jump fields unresolved); call seal() afterwards.
+/// Statistics accumulate into the program's Num* fields.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,9 +46,13 @@
 namespace hac {
 namespace lir {
 
-/// Runs the full pipeline in place: strength reduction, LICM, check
-/// hoisting, DCE. Does not seal.
+/// Runs the full pipeline in place (passes 1-6). Does not seal.
 void optimize(LIRProgram &P);
+
+/// Passes 5 and 6 alone: the tail of optimize(), which secondChance()
+/// re-runs after deleting checks (their operands may die, and counters
+/// they kept apart may merge and hoist).
+void cleanup(LIRProgram &P);
 
 /// Clears the ParPlanner flags from every instruction. Single-threaded
 /// backends call this before optimize() so the serial pipeline (including

@@ -266,9 +266,9 @@ bool Executor::runImpl(const ExecPlan &Plan, DoubleArray &Target,
       if (LIROptimize)
         lir::optimize(Local);
       // Second-chance elimination: residual checks whose ranges only
-      // become provable after LICM/strength reduction are deleted here.
-      // Counter instructions are never touched, so ExecStats stays
-      // bit-identical whether or not this runs.
+      // become provable after LICM/strength reduction are deleted here,
+      // then DCE and counter folding re-run. Counter totals are kept, so
+      // ExecStats stays bit-identical whether or not this runs.
       if (LIROptimize && LIRSecondChance)
         lir::secondChance(Local);
       std::string SealErr;
@@ -287,6 +287,8 @@ bool Executor::runImpl(const ExecPlan &Plan, DoubleArray &Target,
       S.count("lir.hoisted", Local.NumHoisted);
       S.count("lir.strength_reduced", Local.NumStrengthReduced);
       S.count("lir.dce", Local.NumDce);
+      S.count("lir.ivs_coalesced", Local.NumIvsCoalesced);
+      S.count("lir.counters_folded", Local.NumCountersFolded);
       S.count("lir.absint.second_chance", Local.NumAbsintElim);
       if (Parallel) {
         uint64_t Doall = 0, Wave = 0;

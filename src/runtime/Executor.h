@@ -78,9 +78,9 @@ public:
   /// a validation mode used by the schedule-safety property tests.
   void setValidateReads(bool V) { ValidateReads = V; }
 
-  /// Disables the LIR optimization passes (strength reduction, LICM,
-  /// check hoisting, DCE). On by default; bench_lir flips this for the
-  /// passes-off ablation.
+  /// Disables the LIR optimization passes (lir::optimize: LICM, strength
+  /// reduction, check hoisting, IV coalescing, DCE, counter folding). On
+  /// by default; bench_lir flips this for the passes-off ablation.
   void setLIROptimize(bool V) { LIROptimize = V; }
 
   /// Disables the abstract-interpretation second-chance check

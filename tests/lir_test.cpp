@@ -5,7 +5,9 @@
 //  * Golden structure tests pin the LIR the paper's Section 5/8 kernels
 //    lower to — the loop shapes, the address code, the ring/snapshot
 //    instructions — and that the optimization passes fire (and verify
-//    clean) on each of them.
+//    clean) on each of them. Two more pin what the passes must keep
+//    (result bits, error text and ExecStats, with the passes on vs off)
+//    and the instructions per cell the evaluator may dispatch.
 //
 //  * A differential suite runs every program under examples/programs/
 //    through three independent evaluators — the lazy reference
@@ -24,11 +26,15 @@
 #include "lir/LIR.h"
 #include "lir/LIRLowering.h"
 #include "lir/LIRPasses.h"
+#include "support/Profile.h"
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <map>
 #include <sstream>
 #include <string>
 
@@ -167,33 +173,6 @@ TEST(LIRGolden, Section9RowswapUsesSnapshot) {
   EXPECT_GT(countOccurrences(L.Before, "load.snap"), 0u);
 }
 
-TEST(LIRGolden, PassesNeverChangeResults) {
-  // The optimizer is semantics-preserving: evaluate a kernel with the
-  // passes on (the Executor default) and with setLIROptimize(false),
-  // and require bit-identical output.
-  Compiler C;
-  auto Compiled = C.compileArray(readFile(examplePath("wavefront.hac")));
-  ASSERT_TRUE(Compiled.has_value()) << C.diags().str();
-  ASSERT_TRUE(Compiled->Thunkless);
-
-  DoubleArray Opt, NoOpt;
-  std::string Err;
-  {
-    Executor Exec(Compiled->Params);
-    ASSERT_TRUE(Compiled->evaluate(Opt, Exec, Err)) << Err;
-  }
-  {
-    Executor Exec(Compiled->Params);
-    Exec.setLIROptimize(false);
-    ASSERT_TRUE(Compiled->evaluate(NoOpt, Exec, Err)) << Err;
-  }
-  EXPECT_LE(DoubleArray::maxAbsDiff(Opt, NoOpt), 0.0);
-}
-
-//===----------------------------------------------------------------------===//
-// Three-way differential over every example program
-//===----------------------------------------------------------------------===//
-
 namespace {
 
 /// Deterministic non-trivial starting contents for update targets.
@@ -201,6 +180,221 @@ void fillStart(DoubleArray &A) {
   for (size_t I = 0, N = A.size(); I != N; ++I)
     A[I] = 1.0 + 0.25 * static_cast<double>(I % 7);
 }
+
+/// Everything one run reports: success, error text, result bits and
+/// all nine ExecStats fields.
+struct RunReport {
+  bool OK = false;
+  std::string Err;
+  DoubleArray Out;
+  ExecStats Stats;
+};
+
+void expectSameReport(const RunReport &A, const RunReport &B,
+                      const std::string &Where) {
+  EXPECT_EQ(A.OK, B.OK) << Where;
+  EXPECT_EQ(A.Err, B.Err) << Where;
+  ASSERT_EQ(A.Out.size(), B.Out.size()) << Where;
+  EXPECT_EQ(std::memcmp(A.Out.data(), B.Out.data(),
+                        A.Out.size() * sizeof(double)),
+            0)
+      << Where;
+  const ExecStats &X = A.Stats, &Y = B.Stats;
+  EXPECT_EQ(X.Stores, Y.Stores) << Where;
+  EXPECT_EQ(X.Loads, Y.Loads) << Where;
+  EXPECT_EQ(X.RingSaves, Y.RingSaves) << Where;
+  EXPECT_EQ(X.SnapshotCopies, Y.SnapshotCopies) << Where;
+  EXPECT_EQ(X.BoundsChecks, Y.BoundsChecks) << Where;
+  EXPECT_EQ(X.CollisionChecks, Y.CollisionChecks) << Where;
+  EXPECT_EQ(X.GuardEvals, Y.GuardEvals) << Where;
+  EXPECT_EQ(X.FusedIters, Y.FusedIters) << Where;
+  EXPECT_EQ(X.TempBytes, Y.TempBytes) << Where;
+}
+
+using RunFn = std::function<bool(Executor &, DoubleArray &, std::string &)>;
+
+/// Runs \p Run with the passes on and off at 1 and 4 threads and
+/// requires each pair to report the same thing. Returns whether the
+/// optimized 1-thread run succeeded.
+bool checkPassesKeepReports(const ParamEnv &Params, const RunFn &Run,
+                            const std::map<std::string, const DoubleArray *>
+                                &Inputs,
+                            const std::string &Where) {
+  bool OK = false;
+  for (unsigned Threads : {1u, 4u}) {
+    RunReport R[2];
+    for (int Opt = 0; Opt != 2; ++Opt) {
+      Executor Exec(Params);
+      Exec.setLIROptimize(Opt != 0);
+      Exec.setNumThreads(Threads);
+      for (const auto &[Name, A] : Inputs)
+        Exec.bindInput(Name, A);
+      R[Opt].OK = Run(Exec, R[Opt].Out, R[Opt].Err);
+      R[Opt].Stats = Exec.stats();
+    }
+    expectSameReport(R[1], R[0],
+                     Where + " @" + std::to_string(Threads) + " threads");
+    if (Threads == 1)
+      OK = R[1].OK;
+  }
+  return OK;
+}
+
+/// Compiles \p Source the way hacc does (bigupd, accumArray or plain
+/// construction) and checks it; returns false when nothing ran thunkless.
+bool checkProgramReports(const std::string &Source,
+                         const std::map<std::string, const DoubleArray *>
+                             &Inputs,
+                         const std::string &Where, bool &RanOK) {
+  Compiler C;
+  if (Source.find("bigupd") != std::string::npos) {
+    auto U = C.compileUpdate(Source);
+    EXPECT_TRUE(U.has_value()) << Where << "\n" << C.diags().str();
+    if (!U || !U->InPlace)
+      return false;
+    ArrayDims Dims = U->Plan.Dims;
+    if (Dims.empty() && !estimateUpdateDims(U->Plan, U->Params, Dims))
+      return false;
+    DoubleArray Start(Dims);
+    fillStart(Start);
+    RanOK = checkPassesKeepReports(
+        U->Params,
+        [&](Executor &E, DoubleArray &O, std::string &Err) {
+          O = Start;
+          return U->evaluateInPlace(O, E, Err);
+        },
+        Inputs, Where);
+    return true;
+  }
+  auto A = Source.find("accumArray") != std::string::npos
+               ? C.compileAccum(Source)
+               : C.compileArray(Source);
+  EXPECT_TRUE(A.has_value()) << Where << "\n" << C.diags().str();
+  if (!A || !A->Thunkless)
+    return false;
+  RanOK = checkPassesKeepReports(
+      A->Params,
+      [&](Executor &E, DoubleArray &O, std::string &Err) {
+        return A->evaluate(O, E, Err);
+      },
+      Inputs, Where);
+  return true;
+}
+
+} // namespace
+
+TEST(LIRGolden, PassesNeverChangeResults) {
+  // The optimizer never changes what a run reports: every example and
+  // two faulting programs, with the passes on (the Executor default) and
+  // with setLIROptimize(false), at 1 and 4 threads, must produce the same
+  // result bits, error text and ExecStats, on success and on failure.
+  // Counter folding moves counters across whole loops, so this is the
+  // test of its "identical at every failure point" contract.
+  std::vector<std::filesystem::path> Programs;
+  for (const auto &Entry :
+       std::filesystem::directory_iterator(HAC_EXAMPLES_DIR))
+    if (Entry.is_regular_file() && Entry.path().extension() == ".hac")
+      Programs.push_back(Entry.path());
+  std::sort(Programs.begin(), Programs.end());
+  size_t Checked = 0;
+  for (const auto &Program : Programs) {
+    bool RanOK = false;
+    if (checkProgramReports(readFile(Program.string()), {}, Program.string(),
+                            RanOK)) {
+      ++Checked;
+      EXPECT_TRUE(RanOK) << Program;
+    }
+  }
+  EXPECT_GE(Checked, 5u);
+
+  // Input reads carry bounds counters, which fold out of the first
+  // clause's loops; the second clause's non-affine store leaves the
+  // grid at row 6, after stores and counters have landed.
+  DoubleArray B({{1, 8}, {1, 8}});
+  for (size_t I = 0, N = B.size(); I != N; ++I)
+    B[I] = 0.5 + 0.125 * static_cast<double>(I % 11);
+  const std::string OutOfBounds =
+      "let n = 8 in\n"
+      "letrec* a = array ((1,1),(n,n))\n"
+      "  ([ (i,j) := b!(i,j) + b!(i,j+1) | i <- [1..n], j <- [1..n-1] ] ++\n"
+      "   [ (i, n + i / 6) := 2.0 * i | i <- [1..n] ])\nin a\n";
+  // A non-affine column collides with an earlier store of row 6.
+  const std::string Collision =
+      "let n = 8 in\n"
+      "letrec* a = array ((1,1),(n,n))\n"
+      "  [ (i, j - (i / 6) * (j / 4)) := b!(i,j) + 0.5 * i\n"
+      "    | i <- [1..n], j <- [1..n] ]\nin a\n";
+  for (const auto &[Name, Source] :
+       {std::pair<std::string, std::string>{"out-of-bounds store", OutOfBounds},
+        {"write collision", Collision}}) {
+    bool RanOK = true;
+    ASSERT_TRUE(checkProgramReports(Source, {{"b", &B}}, Name, RanOK))
+        << Name << " did not compile thunkless";
+    EXPECT_FALSE(RanOK) << Name << " was expected to fault";
+  }
+}
+
+TEST(LIRGolden, DispatchBudgetPerCell) {
+  // The evaluator's cost per cell follows the instructions it
+  // dispatches. After the passes, the wavefront interior is 3 loads,
+  // 2 adds, a divide, a store, one address increment and the loop end;
+  // Jacobi is 4 loads, 3 adds, a divide, a store, one increment and the
+  // loop end. The budgets leave room for border loops and per-row work
+  // at n=64, so dead inductions, per-load counters or parallel address
+  // IVs coming back fail this test.
+  const int64_t N = 64;
+  const std::string Head = "let n = " + std::to_string(N) + " in\n";
+  const std::string Wavefront =
+      Head + "letrec* a = array ((1,1),(n,n))\n"
+             "  ([ (1,j) := 1.5 | j <- [1..n] ] ++\n"
+             "   [ (i,1) := 1.5 | i <- [2..n] ] ++\n"
+             "   [ (i,j) := (a!(i-1,j) + a!(i,j-1) + a!(i-1,j-1)) / 3.0\n"
+             "     | i <- [2..n], j <- [2..n] ])\nin a\n";
+  const std::string Jacobi =
+      Head + "letrec* a = array ((1,1),(n,n))\n"
+             "  ([ (1,j) := b!(1,j) | j <- [1..n] ] ++\n"
+             "   [ (n,j) := b!(n,j) | j <- [1..n] ] ++\n"
+             "   [ (i,1) := b!(i,1) | i <- [2..n-1] ] ++\n"
+             "   [ (i,n) := b!(i,n) | i <- [2..n-1] ] ++\n"
+             "   [ (i,j) := (b!(i-1,j) + b!(i+1,j) + b!(i,j-1) + b!(i,j+1))"
+             " / 4.0\n     | i <- [2..n-1], j <- [2..n-1] ])\nin a\n";
+  DoubleArray B({{1, N}, {1, N}});
+  for (size_t I = 0, S = B.size(); I != S; ++I)
+    B[I] = 0.25 * static_cast<double>(I % 13);
+
+  auto InstrsPerCell = [&](const std::string &Source) -> double {
+    Compiler C;
+    auto A = C.compileArray(Source);
+    EXPECT_TRUE(A && A->Thunkless) << C.diags().str();
+    if (!A || !A->Thunkless)
+      return 1e9;
+    Executor Exec(A->Params);
+    Exec.setNumThreads(1);
+    Exec.setJitMode(jit::JitMode::Off);
+    Exec.bindInput("b", &B);
+    ProfileSink &PS = ProfileSink::get();
+    const bool WasOn = PS.enabled();
+    PS.clear();
+    PS.setEnabled(true);
+    DoubleArray Out;
+    std::string Err;
+    EXPECT_TRUE(A->evaluate(Out, Exec, Err)) << Err;
+    PS.setEnabled(WasOn);
+    uint64_t Instrs = 0;
+    for (const ProgramProfile &PP : PS.programsSnapshot())
+      Instrs += PP.RootInstrs;
+    PS.clear();
+    return static_cast<double>(Instrs) / static_cast<double>(Out.size());
+  };
+  EXPECT_LE(InstrsPerCell(Wavefront), 9.5);
+  EXPECT_LE(InstrsPerCell(Jacobi), 11.5);
+}
+
+//===----------------------------------------------------------------------===//
+// Three-way differential over every example program
+//===----------------------------------------------------------------------===//
+
+namespace {
 
 /// interp vs Executor vs compiled C for one construction/accum program.
 void diffConstruction(const std::string &Path, const std::string &Source,

@@ -14,17 +14,24 @@
 //  * random in-place updates (bigupd) with arbitrary-sign offsets, where
 //    node splitting must preserve the copying semantics.
 //
-// Every compiled program also runs at 1, 2, 4 and 8 threads: the
-// threaded results and ExecStats must match the 1-thread run bit for bit.
+// Every compiled program also runs at 1, 2, 4 and 8 threads, and once
+// with the LIR passes off: those results and ExecStats must match the
+// 1-thread run bit for bit. Every 8th program also runs as a native
+// kernel (JIT sync mode, private cache) at 1 and 4 threads, so the
+// optimized LIR's C rendering is checked against the evaluator too.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/Compiler.h"
 #include "core/InterpBridge.h"
+#include "jit/JitCompiler.h"
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstring>
+#include <filesystem>
 #include <functional>
 #include <random>
 #include <sstream>
@@ -63,30 +70,69 @@ void expectSameStats(const ExecStats &A, const ExecStats &B,
   EXPECT_EQ(A.TempBytes, B.TempBytes) << Where;
 }
 
-/// Runs \p Eval with non-validating executors at 1, 2, 4 and 8 threads.
-/// Each run must agree with the interpreter's \p Ref, and each threaded
-/// run must reproduce the 1-thread result bits and every ExecStats field.
+/// The native leg's kernel cache: one directory per test process,
+/// removed when the process exits.
+struct KernelCacheDir {
+  std::filesystem::path Dir;
+  KernelCacheDir()
+      : Dir(std::filesystem::temp_directory_path() /
+            ("hac-property-jit-" + std::to_string(::getpid()))) {
+    std::filesystem::remove_all(Dir);
+    std::filesystem::create_directories(Dir);
+  }
+  ~KernelCacheDir() {
+    std::error_code EC;
+    std::filesystem::remove_all(Dir, EC);
+  }
+};
+
+/// Runs \p Eval with non-validating executors at 1, 2, 4 and 8 threads
+/// and with the LIR passes off; every 8th program also runs as a native
+/// kernel at 1 and 4 threads. Each run must agree with the interpreter's
+/// \p Ref and reproduce the 1-thread result bits and every ExecStats
+/// field.
 void checkAcrossThreads(const ParamEnv &Params, const EvalFn &Eval,
                         const DoubleArray &Ref, const std::string &Source) {
+  static unsigned Programs = 0;
+  const bool Native = Programs++ % 8 == 0;
   Executor Serial(Params);
   DoubleArray SerialOut;
   std::string Err;
   ASSERT_TRUE(Eval(Serial, SerialOut, Err)) << Err << "\n" << Source;
   ASSERT_EQ(Ref.size(), SerialOut.size()) << Source;
   EXPECT_LE(DoubleArray::maxAbsDiff(Ref, SerialOut), 1e-9) << Source;
-  for (unsigned Threads : {2u, 4u, 8u}) {
-    std::string Where = std::to_string(Threads) + " threads\n" + Source;
-    Executor Par(Params);
-    Par.setNumThreads(Threads);
+
+  auto Check = [&](Executor &E, const std::string &Where) {
     DoubleArray Out;
-    ASSERT_TRUE(Eval(Par, Out, Err)) << Err << "\n" << Where;
+    ASSERT_TRUE(Eval(E, Out, Err)) << Err << "\n" << Where;
     ASSERT_EQ(Out.size(), SerialOut.size()) << Where;
     EXPECT_EQ(std::memcmp(Out.data(), SerialOut.data(),
                           Out.size() * sizeof(double)),
               0)
         << Where;
     EXPECT_LE(DoubleArray::maxAbsDiff(Ref, Out), 1e-9) << Where;
-    expectSameStats(Par.stats(), Serial.stats(), Where);
+    expectSameStats(E.stats(), Serial.stats(), Where);
+  };
+  for (unsigned Threads : {2u, 4u, 8u}) {
+    Executor Par(Params);
+    Par.setNumThreads(Threads);
+    Check(Par, std::to_string(Threads) + " threads\n" + Source);
+  }
+  Executor Unoptimized(Params);
+  Unoptimized.setLIROptimize(false);
+  Check(Unoptimized, "LIR passes off\n" + Source);
+  if (!Native)
+    return;
+  static KernelCacheDir Cache;
+  jit::JitCompiler JC({Cache.Dir.string(), 256ull << 20});
+  for (unsigned Threads : {1u, 4u}) {
+    Executor Jitted(Params);
+    Jitted.setNumThreads(Threads);
+    Jitted.setJitMode(jit::JitMode::Sync);
+    Jitted.setJitCompiler(&JC);
+    Check(Jitted, "native kernel, " + std::to_string(Threads) +
+                      " threads\n" + Source);
+    EXPECT_EQ(Jitted.jitStats().NativeRuns, 1u) << Source;
   }
 }
 
