@@ -277,8 +277,10 @@ inline CompiledUpdate mustCompileUpdate(const std::string &Source) {
 
 using KernelFn = int (*)(double *, const double *const *);
 
-/// Emits C for a compiled array and builds it through the shared jit/
-/// native-build path (managed scratch directory, HAC_JIT_CC override).
+/// Emits C for a compiled array (the JIT kernel with its residual checks
+/// and counters, behind emitC's two-argument wrapper) and builds it
+/// through the shared jit/ native-build path (managed scratch directory,
+/// HAC_JIT_CC override).
 /// Returns the loaded kernel (null on any failure); the handle is
 /// process-lifetime.
 inline KernelFn buildNativeKernel(const CompiledArray &Compiled,

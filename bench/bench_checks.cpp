@@ -14,8 +14,6 @@
 #include "BenchCommon.h"
 
 #include "lir/LIR.h"
-#include "lir/LIRAbsint.h"
-#include "lir/LIRLowering.h"
 #include "lir/LIRPasses.h"
 
 #include <benchmark/benchmark.h>
@@ -118,24 +116,29 @@ void runGuardedPartition(benchmark::State &State,
   }
   State.counters["bounds_checks_counted"] = static_cast<double>(Bounds);
 
-  // Instruction-level evidence from the same pipeline the executor runs.
-  lir::LIRProgram P = lir::lowerPlan(Compiled.Plan, Compiled.Dims,
-                                     Compiled.Params, {}, /*ForC=*/false,
-                                     /*ValidateReads=*/false);
-  lir::stripParFlags(P);
-  lir::optimize(P);
-  auto CountChecks = [&P] {
+  // Instruction-level evidence from the pipeline the executor runs.
+  auto Build = [&Compiled](bool WithSecondChance) {
+    lir::PipelineOptions Opts;
+    Opts.SecondChance = WithSecondChance;
+    lir::LIRProgram P;
+    std::string Err;
+    if (!lir::buildProgram(Compiled.Plan, Compiled.Dims, Compiled.Params, {},
+                           Opts, P, Err))
+      std::fprintf(stderr, "%s\n", Err.c_str());
+    return P;
+  };
+  auto CountChecks = [](const lir::LIRProgram &P) {
     unsigned N = 0;
     for (const lir::LInst &I : P.Code)
       if (I.Op == lir::LOp::CheckIdx || I.Op == lir::LOp::CheckNonZeroI)
         ++N;
     return N;
   };
-  unsigned Before = CountChecks();
-  unsigned Eliminated = SecondChance ? lir::secondChance(P) : 0;
-  State.counters["check_ops_before"] = static_cast<double>(Before);
-  State.counters["absint_eliminated"] = static_cast<double>(Eliminated);
-  State.counters["check_ops_after"] = static_cast<double>(CountChecks());
+  const lir::LIRProgram Before = Build(false), After = Build(SecondChance);
+  State.counters["check_ops_before"] = static_cast<double>(CountChecks(Before));
+  State.counters["absint_eliminated"] =
+      static_cast<double>(After.NumAbsintElim);
+  State.counters["check_ops_after"] = static_cast<double>(CountChecks(After));
 }
 
 } // namespace

@@ -167,7 +167,7 @@ void accumRow(const char *Name, const std::string &Source) {
 void lirRow(const char *Name, const hac::ExecPlan &Plan,
             const hac::ArrayDims &Dims, const hac::ParamEnv &Params) {
   hac::lir::LIRProgram P = hac::lir::lowerPlan(Plan, Dims, Params, {},
-                                               /*ForC=*/false,
+                                               /*AssumeTargetShape=*/false,
                                                /*ValidateReads=*/false);
   std::string Err;
   if (!hac::lir::seal(P, Err)) {

@@ -415,17 +415,17 @@ auto nullAnalysis = [](std::ostream &OS) { OS << "  null"; };
 // LIR dump + selfcheck
 //===--------------------------------------------------------------------===//
 
-/// -dump-lir: lowers once (the evaluator variant, which renders the
-/// exec-only stat counters and validation checks too), prints the program
-/// before and after the optimization passes, and runs the verifier.
-/// The "before" dump shows the planner's par= loop annotations; the
-/// "after" dump shows what the chosen thread count actually executes
-/// (flags stripped when serial, legalized when parallel — mirroring the
-/// Executor's pipeline). Returns the process exit code.
+/// -dump-lir: prints the lowered program before the optimization passes
+/// and the Executor's own pipeline output after them (lir::buildProgram),
+/// then runs the verifier. The "before" dump shows the planner's par=
+/// loop annotations; the "after" dump shows what the chosen thread count
+/// actually executes (flags stripped when serial, legalized when
+/// parallel). Returns the process exit code.
 int dumpLIR(const std::string &What, const ExecPlan &Plan,
             const ArrayDims &Dims, const ParamEnv &Params, unsigned Threads,
             jit::JitMode JitM = jit::JitMode::Off) {
-  lir::LIRProgram P = lir::lowerPlan(Plan, Dims, Params, {}, /*ForC=*/false,
+  lir::LIRProgram P = lir::lowerPlan(Plan, Dims, Params, {},
+                                     /*AssumeTargetShape=*/false,
                                      /*ValidateReads=*/false);
   std::string SealErr;
   if (!lir::seal(P, SealErr)) {
@@ -434,18 +434,12 @@ int dumpLIR(const std::string &What, const ExecPlan &Plan,
   }
   std::printf("=== LIR for '%s' (before passes) ===\n%s", What.c_str(),
               lir::printLIR(P).c_str());
-  if (Threads <= 1)
-    lir::stripParFlags(P);
-  lir::optimize(P);
-  // Mirror the Executor's second-chance elimination so the "after" dump
-  // shows exactly what runs.
-  lir::secondChance(P);
-  if (!lir::seal(P, SealErr)) {
-    std::fprintf(stderr, "hacc: LIR re-seal failed: %s\n", SealErr.c_str());
+  lir::PipelineOptions PO;
+  PO.Threads = Threads;
+  if (!lir::buildProgram(Plan, Dims, Params, {}, PO, P, SealErr)) {
+    std::fprintf(stderr, "hacc: %s\n", SealErr.c_str());
     return 1;
   }
-  if (Threads > 1)
-    lir::legalizePar(P, /*ForC=*/false);
   std::printf("=== LIR (after passes: %llu hoisted, %llu strength-reduced, "
               "%llu ivs-coalesced, %llu dce, %llu counters-folded, "
               "%llu absint-elim) ===\n%s",
@@ -469,13 +463,11 @@ int dumpLIR(const std::string &What, const ExecPlan &Plan,
     if (S < P.SlotIsF.size() && !P.SlotIsF[S])
       std::printf("  r%zu: %s\n", S, AR.SlotRanges[S].str().c_str());
   if (JitM != jit::JitMode::Off) {
-    // Mirror the JitCompiler's keying: re-legalize a copy under the
-    // stricter kernel parallel rules, then content-hash the text. This
-    // is the exact key the executor's tiered run will hit in the cache.
+    // Mirror the JitCompiler's keying: legalize a copy for the kernel,
+    // then content-hash the text. This is the exact key the executor's
+    // tiered run will hit in the cache.
     lir::LIRProgram KP = P;
-    const unsigned PinThreads = Threads > 1 ? Threads : 0;
-    if (PinThreads)
-      lir::legalizePar(KP, /*ForC=*/true, /*RenderExecOnly=*/true);
+    const unsigned PinThreads = lir::legalizeKernel(KP, Threads);
     const bool OpenMP = PinThreads && *jit::detectedOmpFlag() != '\0';
     const jit::KernelKey Key =
         jit::makeKernelKey(lir::printLIR(KP), PinThreads, OpenMP);
@@ -485,6 +477,26 @@ int dumpLIR(const std::string &What, const ExecPlan &Plan,
                                                               : "async",
                 PinThreads ? PinThreads : 1u, OpenMP ? "yes" : "no",
                 jit::cacheDirFromEnv().c_str());
+  }
+  return 0;
+}
+
+/// -emit-c: prints emitC's translation unit (kernel plus two-argument
+/// wrapper) and the order of its inputs. Returns the process exit code.
+int printEmittedC(const ExecPlan &Plan, const ParamEnv &Params,
+                  unsigned Threads) {
+  CEmitResult Emitted = emitC(Plan, "hac_kernel", Params, {}, Threads);
+  if (!Emitted.OK) {
+    std::fprintf(stderr, "hacc: C emission failed: %s\n",
+                 Emitted.Error.c_str());
+    return 1;
+  }
+  std::fputs(Emitted.Code.c_str(), stdout);
+  if (!Emitted.InputNames.empty()) {
+    std::fprintf(stdout, "/* inputs (in order):");
+    for (const std::string &Name : Emitted.InputNames)
+      std::fprintf(stdout, " %s", Name.c_str());
+    std::fprintf(stdout, " */\n");
   }
   return 0;
 }
@@ -510,8 +522,7 @@ KernelFn buildNativeKernel(const std::string &Code, std::string &Error,
 int runSelfCheckKernel(const ExecPlan &Plan, const ParamEnv &Params,
                        const DoubleArray &Ref, DoubleArray Start,
                        unsigned Threads) {
-  CEmitResult Emitted =
-      emitC(Plan, "hac_kernel", Params, {}, /*Parallel=*/Threads > 1);
+  CEmitResult Emitted = emitC(Plan, "hac_kernel", Params, {}, Threads);
   if (!Emitted.OK) {
     std::printf("selfcheck: C backend declined (%s); evaluator-only\n",
                 Emitted.Error.c_str());
@@ -599,22 +610,7 @@ int runArray(const DriverOptions &Opts, const std::string &Source) {
       printDiags(TheCompiler);
       return 1;
     }
-    CEmitResult Emitted = emitC(Compiled->Plan, "hac_kernel",
-                                Compiled->Params, {},
-                                /*Parallel=*/Opts.Threads > 1);
-    if (!Emitted.OK) {
-      std::fprintf(stderr, "hacc: C emission failed: %s\n",
-                   Emitted.Error.c_str());
-      return 1;
-    }
-    std::fputs(Emitted.Code.c_str(), stdout);
-    if (!Emitted.InputNames.empty()) {
-      std::fprintf(stdout, "/* inputs (in order):");
-      for (const std::string &Name : Emitted.InputNames)
-        std::fprintf(stdout, " %s", Name.c_str());
-      std::fprintf(stdout, " */\n");
-    }
-    return 0;
+    return printEmittedC(Compiled->Plan, Compiled->Params, Opts.Threads);
   }
   if (Opts.DumpLIR || Opts.SelfCheck) {
     if (!Compiled->Thunkless) {
@@ -770,31 +766,13 @@ int runUpdate(const DriverOptions &Opts, const std::string &Source) {
     if (!Opts.Analyze && !Opts.ReportOnly)
       return 0;
   }
-  if (Opts.EmitCOnly) {
-    if (!Compiled->InPlace) {
-      std::fprintf(stderr, "hacc: cannot emit C: %s\n",
-                   Compiled->FallbackReason.c_str());
-      printDiags(TheCompiler);
-      return 1;
-    }
-    if (Compiled->Plan.Dims.empty()) {
-      std::fprintf(stderr,
-                   "hacc: update kernels need the target array's shape; "
-                   "use the library API (emitC with explicit dims)\n");
-      return 1;
-    }
-    CEmitResult Emitted =
-        emitC(Compiled->Plan, "hac_kernel", Compiled->Params, {},
-              /*Parallel=*/Opts.Threads > 1);
-    if (!Emitted.OK) {
-      std::fprintf(stderr, "hacc: C emission failed: %s\n",
-                   Emitted.Error.c_str());
-      return 1;
-    }
-    std::fputs(Emitted.Code.c_str(), stdout);
-    return 0;
+  if (Opts.EmitCOnly && !Compiled->InPlace) {
+    std::fprintf(stderr, "hacc: cannot emit C: %s\n",
+                 Compiled->FallbackReason.c_str());
+    printDiags(TheCompiler);
+    return 1;
   }
-  if (Opts.DumpLIR || Opts.SelfCheck) {
+  if (Opts.EmitCOnly || Opts.DumpLIR || Opts.SelfCheck) {
     if (!Compiled->InPlace) {
       std::printf("lir: update is not in-place (%s); nothing to lower\n",
                   Compiled->FallbackReason.c_str());
@@ -803,10 +781,17 @@ int runUpdate(const DriverOptions &Opts, const std::string &Source) {
     ExecPlan Plan = Compiled->Plan;
     if (Plan.Dims.empty() &&
         !estimateUpdateDims(Plan, Compiled->Params, Plan.Dims)) {
-      std::printf("lir: cannot derive the update target's shape from its "
-                  "subscripts; skipped\n");
+      const char *Msg = "cannot derive the update target's shape from its "
+                        "subscripts";
+      if (Opts.EmitCOnly) {
+        std::fprintf(stderr, "hacc: cannot emit C: %s\n", Msg);
+        return 1;
+      }
+      std::printf("lir: %s; skipped\n", Msg);
       return 0;
     }
+    if (Opts.EmitCOnly)
+      return printEmittedC(Plan, Compiled->Params, Opts.Threads);
     if (Opts.DumpLIR) {
       int RC = dumpLIR(Compiled->BaseName, Plan, Plan.Dims,
                        Compiled->Params, Opts.Threads, Opts.jitMode());
@@ -948,7 +933,7 @@ int runModule(const DriverOptions &Opts, const std::string &Source) {
   }
 
   if (Opts.EmitCOnly) {
-    ModuleEmitResult Emitted = emitModuleC(*M, /*Parallel=*/Opts.Threads > 1);
+    ModuleEmitResult Emitted = emitModuleC(*M, Opts.Threads);
     if (!Emitted.OK) {
       std::fprintf(stderr, "hacc: cannot emit C: %s\n",
                    Emitted.Error.c_str());
@@ -1004,7 +989,7 @@ int runModule(const DriverOptions &Opts, const std::string &Source) {
   }
 
   if (Opts.SelfCheck) {
-    ModuleEmitResult Emitted = emitModuleC(*M, /*Parallel=*/Opts.Threads > 1);
+    ModuleEmitResult Emitted = emitModuleC(*M, Opts.Threads);
     if (!Emitted.OK) {
       std::printf("selfcheck: C backend declined (%s); evaluator-only\n",
                   Emitted.Error.c_str());

@@ -5,30 +5,20 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Emits a self-contained C function for an execution plan: the paper's
-/// end product ("in most applications we can remove the main sources of
-/// inefficiency that would otherwise prevent performance comparable to
-/// Fortran"). The generated code is plain nested DO-loops with direct
-/// stores — plus only the runtime checks the analyses could not
-/// discharge, and the node-splitting ring buffers / snapshots.
+/// Emits C for an execution plan: the paper's end product ("in most
+/// applications we can remove the main sources of inefficiency that
+/// would otherwise prevent performance comparable to Fortran"). The
+/// generated code is plain nested DO-loops with direct stores — plus
+/// only the runtime checks the analyses could not discharge, and the
+/// node-splitting ring buffers / snapshots.
 ///
-/// The emitted function has the signature
-///
-/// \code
-///   int NAME(double *target, const double *const *inputs);
-/// \endcode
-///
-/// where `inputs[k]` is the flat storage of the k-th input array in
-/// `CEmitResult::InputNames` order. Compile-time parameters are baked in
-/// as constants. The return value is 0 on success or one of the
-/// HAC_ERR_* codes for a failed runtime check.
-///
-/// The emitter prints the unified Loop IR (src/lir/) rather than walking
-/// the plan's AST: plans are lowered by the same LIRLowering the
-/// Executor runs, optimized by the same passes, and then rendered
-/// instruction by instruction — one C statement per LIR instruction over
-/// flat `long long`/`double` slot variables. Whatever the evaluator
-/// executes is exactly what the C compiler sees.
+/// There is one C printer, emitKernelC, and it renders the sealed Loop
+/// IR (src/lir/) the evaluator runs — one C statement per LIR
+/// instruction over flat `long long`/`double` slot variables, every
+/// residual check and ExecStats counter included. The JIT calls it on
+/// the Executor's own program; emitC builds that same program from a
+/// plan (lir::buildProgram) and appends a two-argument wrapper, so
+/// whatever the evaluator executes is exactly what the C compiler sees.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -69,25 +59,36 @@ struct CEmitResult {
   std::vector<std::string> InputNames;
 };
 
-/// Emits a C function named \p FunctionName implementing \p Plan.
-/// \p InputDims optionally supplies the shape of each input array (for
-/// linearizing reads); inputs without an entry are assumed to share the
-/// target's shape. Fails (OK == false) on constructs the C backend does
-/// not support (e.g. calls to unknown functions).
+/// Emits C implementing \p Plan over its own Dims: the kernel
+/// `NAME_kernel` that emitKernelC renders from the program an Executor
+/// with \p Threads threads runs, followed by
 ///
-/// With \p Parallel set, loops the ParPlanner classified DOALL become
-/// `#pragma omp parallel for` over a canonical 0-based counter, and
-/// wavefront pairs become an explicit anti-diagonal front loop whose
-/// per-front cell loop carries the pragma. The pragmas are ignored by
+/// \code
+///   int NAME(double *target, const double *const *inputs);
+/// \endcode
+///
+/// where `inputs[k]` is the flat storage of the k-th input array in
+/// `CEmitResult::InputNames` order. The wrapper callocs the defined
+/// bitmap when the program needs one, calls the kernel without a stats
+/// block, sweeps for empties when the plan checks them, and returns 0 on
+/// success or one of the HAC_ERR_* codes for a failed runtime check.
+/// Compile-time parameters are baked in as constants. \p InputDims
+/// optionally supplies the shape of each input array; inputs without an
+/// entry are assumed to share the target's shape. Fails (OK == false) on
+/// constructs the C backend does not support (e.g. calls to unknown
+/// functions).
+///
+/// With \p Threads > 1 the program keeps the loops legalizeKernel
+/// leaves parallel: DOALL loops become `#pragma omp parallel for` over a
+/// canonical 0-based counter, and wavefront pairs become an explicit
+/// anti-diagonal front loop whose per-front cell loop carries the
+/// pragma, with OpenMP pinned to \p Threads. The pragmas are ignored by
 /// compilers without OpenMP support, and the parallel code computes the
-/// same values in either case — emission only annotates loops the
-/// legality pass (legalizePar) kept. Without \p Parallel the par flags
-/// are stripped first and the output is byte-identical to the serial
-/// emitter.
+/// same values in either case.
 CEmitResult emitC(const ExecPlan &Plan, const std::string &FunctionName,
                   const ParamEnv &Params,
                   const std::map<std::string, ArrayDims> &InputDims = {},
-                  bool Parallel = false);
+                  unsigned Threads = 1);
 
 /// Options for rendering a JIT kernel (emitKernelC).
 struct KernelEmitOptions {
@@ -99,10 +100,10 @@ struct KernelEmitOptions {
 };
 
 /// Renders an already-lowered, optimized, and sealed LIR program as a
-/// native JIT kernel. Unlike emitC this runs no pipeline of its own:
+/// native kernel — the only C printer. It runs no pipeline of its own:
 /// the caller hands over the exact program the evaluator executes
-/// (re-legalized with legalizePar(P, true, true) when parallel) and
-/// gets C with the four-argument kernel ABI
+/// (after lir::legalizeKernel, which also yields Opts.Threads) and gets
+/// C with the four-argument kernel ABI
 ///
 /// \code
 ///   int NAME(double *target, const double *const *inputs,
@@ -114,11 +115,10 @@ struct KernelEmitOptions {
 /// guards) and `stats` is an 8-slot counter block the kernel adds into
 /// on every exit path — [loads, stores, ring_saves, snapshot_copies,
 /// bounds_checks, collision_checks, guard_evals, fused_iters] — so
-/// ExecStats survive the tier swap. Exec-only instructions are
-/// *rendered* (faulting checks become real C checks, stat counters
-/// become counter adds): the kernel fails exactly when the evaluator
-/// would. Fails (OK == false) on programs containing Fail or
-/// CheckDefined instructions.
+/// ExecStats survive the tier swap. Every check renders as a real C
+/// check, so the kernel fails exactly when the evaluator would; the
+/// empties sweep is left to the caller. Fails (OK == false) on programs
+/// containing Fail or CheckDefined instructions.
 CEmitResult emitKernelC(const lir::LIRProgram &P,
                         const std::string &FunctionName,
                         const KernelEmitOptions &Opts = {});

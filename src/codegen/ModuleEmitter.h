@@ -7,7 +7,7 @@
 /// \file
 /// Emits one C translation unit for a compiled module: a kernel
 /// `hac_array_<name>` per binding (the same emitC output the single-array
-/// path produces) plus a driver
+/// path produces: kernel plus two-argument wrapper) plus a driver
 ///
 /// \code
 ///   int hac_module(double *out, const double *const *inputs);
@@ -42,9 +42,9 @@ struct ModuleEmitResult {
 /// Declines (OK == false) when the module expects external runtime
 /// inputs — the static-buffer driver is self-contained — or when any
 /// binding's kernel hits a construct the C backend does not support.
-/// With \p Parallel set, each kernel gets the OpenMP annotations emitC
-/// produces for parallel loops.
-ModuleEmitResult emitModuleC(const CompiledModule &M, bool Parallel = false);
+/// With \p Threads > 1, each kernel gets the OpenMP annotations emitC
+/// produces for parallel loops at that thread count.
+ModuleEmitResult emitModuleC(const CompiledModule &M, unsigned Threads = 1);
 
 } // namespace hac
 

@@ -59,13 +59,11 @@ std::shared_ptr<KernelEntry> JitCompiler::acquire(
     par::ThreadPool *Pool) {
   // Copy synchronously — the evaluator's cached program can be evicted
   // while a background compile is still reading. Parallel programs get
-  // the stricter JIT legality pass (rendered checks may not sit inside
-  // an OpenMP region); it is idempotent over the eval legalization and
+  // the stricter C legality pass (rendered checks may not sit inside an
+  // OpenMP region); it is idempotent over the eval legalization and
   // demotion is monotone, so re-running on the copy is safe.
   auto Prog = std::make_shared<lir::LIRProgram>(EvalProg);
-  const unsigned PinThreads = Threads > 1 ? Threads : 0;
-  if (PinThreads)
-    lir::legalizePar(*Prog, /*ForC=*/true, /*RenderExecOnly=*/true);
+  const unsigned PinThreads = lir::legalizeKernel(*Prog, Threads);
   const bool OpenMP = PinThreads && *detectedOmpFlag() != '\0';
   const KernelKey Key = makeKernelKey(lir::printLIR(*Prog), PinThreads, OpenMP);
 

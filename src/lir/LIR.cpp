@@ -469,8 +469,6 @@ std::string lir::printLIR(const LIRProgram &P) {
          << ", " << Slot(Inst.C);
       break;
     }
-    if (Inst.execOnly())
-      OS << "  ; exec-only";
     OS << "\n";
     bool Opener = Inst.Op == LOp::LoopBegin || Inst.Op == LOp::LoopDynBegin ||
                   Inst.Op == LOp::IfBegin || Inst.Op == LOp::Else;

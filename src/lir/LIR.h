@@ -27,12 +27,11 @@
 /// the passes have run; the evaluator then never scans for a matching
 /// end marker.
 ///
-/// Render modes: instructions flagged ExecOnly exist only for the
-/// in-process evaluator (read bounds checks, ExecStats counters,
-/// schedule-validation checks) and print as nothing in C — exactly the
-/// checks the seed C backend never emitted. Everything else renders in
-/// both backends, which is the invariant the differential suite pins:
-/// Executor and CEmitter consume identical LIR.
+/// The C printer renders every instruction the evaluator runs — checks as
+/// real C checks, counters as adds into the kernel's stats block — so the
+/// emitted C fails exactly where the evaluator does; it refuses only
+/// programs holding Fail or CheckDefined. The differential suite pins
+/// that invariant: Executor and CEmitter consume identical LIR.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -103,14 +102,15 @@ enum class LOp : uint8_t {
   // Runtime checks. CheckIdx: fail/return Imm2 unless Imm0 <= B <= Imm1
   // (message Str). CheckNonZeroI: fail/return Imm2 when B == 0.
   // CheckCollision: count CollisionChecks, then fail when target element
-  // B is already defined (C: rc = 2). CheckDefined (ExecOnly): fail when
-  // target element B is not yet defined (schedule validation).
+  // B is already defined (C: rc = 2). CheckDefined: fail when target
+  // element B is not yet defined (schedule validation; evaluator only,
+  // the C printer refuses programs containing it).
   CheckIdx, CheckCollision, CheckDefined, CheckNonZeroI,
 
-  // ExecStats counters (ExecOnly; Imm0 = increment). The passes may
-  // merge and hoist them (counter folding) but keep ExecStats totals
-  // identical on success and at every failure point, so the optimizer
-  // never changes what a run reports.
+  // ExecStats counters (Imm0 = increment). The passes may merge and
+  // hoist them (counter folding) but keep ExecStats totals identical on
+  // success and at every failure point, so the optimizer never changes
+  // what a run reports.
   CountBounds, CountGuard, CountFused,
 
   // Unconditional failure with message Str. The evaluator fails only
@@ -123,7 +123,6 @@ enum class LOp : uint8_t {
 const char *opName(LOp Op);
 
 enum : uint8_t {
-  FlagExecOnly = 1u << 0, ///< render in the evaluator only, not in C
   FlagBackward = 1u << 1, ///< LoopBegin/LoopEnd: ordinal runs Trip..1
   /// LoopBegin/LoopEnd parallel classes from the ParPlanner. Backends
   /// strip these (stripParFlags) when running single-threaded, and the
@@ -133,11 +132,11 @@ enum : uint8_t {
   FlagParDoall = 1u << 2,     ///< iterations are independent
   FlagParWaveOuter = 1u << 3, ///< outer loop of a wavefront pair
   FlagParWaveInner = 1u << 4, ///< inner loop of a wavefront pair
-  /// CheckIdx only: the lowering demoted this check to ExecOnly because a
-  /// front-end analysis claimed the fact proven (e.g. store bounds with
-  /// Plan.CheckStoreBounds == false). The LIR translation validator must
-  /// re-derive the claim on the optimized stream or report HAC009; plain
-  /// ExecOnly checks carry no such obligation.
+  /// CheckIdx only: a front-end analysis claimed this fact proven (e.g.
+  /// store bounds with Plan.CheckStoreBounds == false), and the lowering
+  /// kept the check as a shadow of the claim. The LIR translation
+  /// validator must re-derive the claim on the optimized stream or report
+  /// HAC009; checks without the flag carry no such obligation.
   FlagProvenClaim = 1u << 5,
 };
 
@@ -159,7 +158,6 @@ struct LInst {
   /// every pass and the par-flag rewrites; only the profiler reads it.
   int32_t Meta = -1;
 
-  bool execOnly() const { return Flags & FlagExecOnly; }
   bool backward() const { return Flags & FlagBackward; }
   bool parDoall() const { return Flags & FlagParDoall; }
   bool parWaveOuter() const { return Flags & FlagParWaveOuter; }

@@ -1452,14 +1452,11 @@ PlanVerifyResult lir::verifyPlanLIR(const ExecPlan &Plan,
   default:
     break;
   }
-  // Unknown input shapes are assumed to match the target's — the same
-  // fallback the seed C backend bakes in — so claims validate against a
-  // concrete shape instead of dissolving into lazy Fail sites.
-  LIRProgram Probe = lowerPlan(Local, TargetDims, Params, {}, false, true);
-  std::map<std::string, ArrayDims> InputDims;
-  for (const std::string &Name : Probe.InputNames)
-    InputDims[Name] = TargetDims;
-  LIRProgram P = lowerPlan(Local, TargetDims, Params, InputDims, false, true);
+  // Unknown input shapes are assumed to match the target's, so claims
+  // validate against a concrete shape instead of dissolving into lazy
+  // Fail sites.
+  LIRProgram P = lowerPlan(Local, TargetDims, Params, {},
+                           /*AssumeTargetShape=*/true, /*ValidateReads=*/true);
   bool InjectPar = Opts.InjectKind == PlanVerifyOptions::Inject::Doall ||
                    Opts.InjectKind == PlanVerifyOptions::Inject::Wave;
   if (Opts.Threads <= 1 && !InjectPar)

@@ -21,10 +21,10 @@
 /// Three clients sit on top of the engine:
 ///
 ///   1. the translation validator: every check the front end dropped as
-///      "proven" reaches the LIR as an exec-only CheckIdx carrying
-///      FlagProvenClaim; the validator must re-derive the containment on
-///      the *post-pass* stream or the elimination is reported unsound
-///      (HAC009, guilty-until-proven). Write-disjointness claims
+///      "proven" reaches the LIR as a CheckIdx carrying FlagProvenClaim;
+///      the validator must re-derive the containment on the *post-pass*
+///      stream or the elimination is reported unsound (HAC009,
+///      guilty-until-proven). Write-disjointness claims
 ///      (Plan.CheckCollisions dropped) are re-checked from per-iteration
 ///      store footprints.
 ///   2. the static race checker: par-flagged loops whose congruence-form

@@ -34,10 +34,11 @@ class Lowering {
 public:
   Lowering(const ExecPlan &Plan, const ArrayDims &TargetDims,
            const ParamEnv &Params,
-           const std::map<std::string, ArrayDims> &InputDims, bool ForC,
-           bool ValidateReads)
+           const std::map<std::string, ArrayDims> &InputDims,
+           bool AssumeTargetShape, bool ValidateReads)
       : Plan(Plan), TargetDims(TargetDims), Params(Params),
-        InputDims(InputDims), ForC(ForC), ValidateReads(ValidateReads) {}
+        InputDims(InputDims), AssumeTargetShape(AssumeTargetShape),
+        ValidateReads(ValidateReads) {}
 
   LIRProgram run() {
     P.TargetDims = TargetDims;
@@ -72,7 +73,7 @@ private:
   const ArrayDims &TargetDims;
   const ParamEnv &Params;
   const std::map<std::string, ArrayDims> &InputDims;
-  bool ForC;
+  bool AssumeTargetShape;
   bool ValidateReads;
 
   LIRProgram P;
@@ -260,7 +261,6 @@ private:
   void emitCount(LOp Op, int64_t Inc) {
     LInst I;
     I.Op = Op;
-    I.Flags = FlagExecOnly;
     I.Imm0 = Inc;
     push(I);
   }
@@ -315,7 +315,8 @@ private:
     if (const auto *S = dyn_cast<ArraySubExpr>(E)) {
       if (const auto *Base = dyn_cast<VarExpr>(S->base())) {
         const std::string &Name = Base->name();
-        if (!isTargetName(Name) && (ForC || InputDims.count(Name)) &&
+        if (!isTargetName(Name) &&
+            (AssumeTargetShape || InputDims.count(Name)) &&
             std::find(P.InputNames.begin(), P.InputNames.end(), Name) ==
                 P.InputNames.end())
           P.InputNames.push_back(Name);
@@ -403,14 +404,8 @@ private:
       auto It = InputDims.find(Name);
       if (It != InputDims.end())
         return It->second;
-      // C mode falls back to the target's shape (seed dimsFor).
-      return TargetDims;
-    }
-    if (ForC) {
-      // The seed C emitter consults InputDims even for the aliased name.
-      auto It = InputDims.find(Name);
-      if (It != InputDims.end())
-        return It->second;
+      // An absent input gets here only under AssumeTargetShape, and
+      // takes the target's shape (seed dimsFor).
     }
     return TargetDims;
   }
@@ -746,20 +741,19 @@ private:
       emitCount(LOp::CountBounds, 1);
       for (size_t D = 0; D != Index.size(); ++D)
         emitCheckIdx(Index[D], Dims[D].first, Dims[D].second, RcBounds,
-                     BoundsMsg, FlagExecOnly);
-    } else if (ValidateReads && !ForC) {
+                     BoundsMsg, 0);
+    } else if (ValidateReads) {
       // Plan.CheckReadBounds == false means the range analysis proved
       // every read in bounds; the validation checks that stand in for
       // the dropped ones carry the proven claim for the LIR validator.
       for (size_t D = 0; D != Index.size(); ++D)
         emitCheckIdx(Index[D], Dims[D].first, Dims[D].second, RcBounds,
-                     BoundsMsg, FlagExecOnly | FlagProvenClaim);
+                     BoundsMsg, FlagProvenClaim);
     }
     int32_t Lin = linChain(Index, Dims);
-    if (ValidateReads && !ForC && IsTarget && PrimaryContext) {
+    if (ValidateReads && IsTarget && PrimaryContext) {
       LInst I;
       I.Op = LOp::CheckDefined;
-      I.Flags = FlagExecOnly;
       I.B = Lin;
       push(I);
     }
@@ -803,12 +797,9 @@ private:
       return {emitConstF(0.0), VType::Float};
     if (Index.size() != Spec.Region.size())
       return failVal("snapshot read rank mismatch", VType::Float);
-    // Containment checks run only in the evaluator; the seed C backend
-    // assumed snapshot reads land in the captured region.
     for (size_t D = 0; D != Index.size(); ++D)
       emitCheckIdx(Index[D], Spec.Region[D].first, Spec.Region[D].second,
-                   RcBounds, "snapshot read outside the captured region",
-                   FlagExecOnly);
+                   RcBounds, "snapshot read outside the captured region", 0);
     int32_t Lin = linChain(Index, Spec.Region);
     int32_t Dst = newSlot(true);
     LInst L;
@@ -1188,14 +1179,11 @@ private:
       if (Index.size() != TargetDims.size() || Index.empty()) {
         emitFail("array definition out of bounds");
       } else {
-        // The evaluator always verifies store bounds (the seed's
-        // linearize was checked unconditionally); the C backend only
-        // emits the compares when the analysis left the check in. A
-        // demoted check records the front end's "proven in bounds" claim
+        // Store bounds are always verified (the seed's linearize was
+        // checked unconditionally). When the analysis dropped the check,
+        // the kept one records the front end's "proven in bounds" claim
         // for the LIR translation validator to re-derive (HAC009).
-        uint8_t Flags = Plan.CheckStoreBounds
-                            ? 0
-                            : (FlagExecOnly | FlagProvenClaim);
+        uint8_t Flags = Plan.CheckStoreBounds ? 0 : FlagProvenClaim;
         for (size_t D = 0; D != Index.size(); ++D)
           emitCheckIdx(Index[D], TargetDims[D].first, TargetDims[D].second,
                        RcBounds, "array definition out of bounds", Flags);
@@ -1277,7 +1265,8 @@ private:
 LIRProgram lir::lowerPlan(const ExecPlan &Plan, const ArrayDims &TargetDims,
                           const ParamEnv &Params,
                           const std::map<std::string, ArrayDims> &InputDims,
-                          bool ForC, bool ValidateReads) {
-  return Lowering(Plan, TargetDims, Params, InputDims, ForC, ValidateReads)
+                          bool AssumeTargetShape, bool ValidateReads) {
+  return Lowering(Plan, TargetDims, Params, InputDims, AssumeTargetShape,
+                  ValidateReads)
       .run();
 }

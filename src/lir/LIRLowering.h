@@ -5,12 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Compiles an ExecPlan into a LIRProgram exactly once. The same lowering
-/// serves both backends: the in-process evaluator asks for ForC == false
-/// (unknown arrays become lazy Fail instructions, ValidateReads adds
-/// exec-only defined-bitmap checks) and the C emitter asks for
-/// ForC == true (every array resolves, with InputDims supplying shapes
-/// for inputs that do not share the target's).
+/// Compiles an ExecPlan into a LIRProgram exactly once. Both backends
+/// consume the result of one pipeline (lir::buildProgram in LIRPasses.h):
+/// the evaluator interprets it and the C printer renders it. The only
+/// lowering knobs are which inputs resolve (AssumeTargetShape) and the
+/// schedule-validation checks (ValidateReads).
 ///
 /// Runtime error codes baked into CheckIdx / CheckNonZeroI instructions
 /// match codegen/CEmitter.h's CEmitError values.
@@ -40,15 +39,18 @@ enum : int64_t {
 
 /// Lowers \p Plan against the concrete target shape \p TargetDims (for
 /// update plans Plan.Dims may be empty; pass the target array's dims).
-/// \p InputDims maps input array names to their shapes; in exec mode
-/// (ForC == false) an array absent from the map lowers to a Fail at its
-/// use site, in C mode it falls back to the target's shape, matching the
-/// seed C backend. The returned program is NOT yet sealed or optimized —
-/// run the pass pipeline (LIRPasses.h) and seal() before use.
+/// \p InputDims maps input array names to their shapes. An array absent
+/// from the map lowers to a Fail at its use site, unless
+/// \p AssumeTargetShape is set: then it becomes an input with the
+/// target's shape (emitC's contract for plans emitted without bound
+/// inputs). \p ValidateReads adds defined-bitmap checks on every target
+/// read plus bounds checks standing in for proven reads. The returned
+/// program is NOT yet sealed or optimized — run the pass pipeline
+/// (LIRPasses.h) and seal() before use.
 LIRProgram lowerPlan(const ExecPlan &Plan, const ArrayDims &TargetDims,
                      const ParamEnv &Params,
                      const std::map<std::string, ArrayDims> &InputDims,
-                     bool ForC, bool ValidateReads);
+                     bool AssumeTargetShape, bool ValidateReads);
 
 } // namespace lir
 } // namespace hac

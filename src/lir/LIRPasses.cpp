@@ -20,6 +20,9 @@
 
 #include "lir/LIRPasses.h"
 
+#include "lir/LIRAbsint.h"
+#include "lir/LIRLowering.h"
+
 #include <optional>
 #include <set>
 #include <vector>
@@ -968,17 +971,10 @@ void demoteLoop(LIRProgram &P, size_t Begin) {
   B.Flags &= static_cast<uint8_t>(~ParFlagMask);
 }
 
-/// True when \p I may not execute inside a parallel region's body.
-/// \p RenderExecOnly is the JIT kernel contract: exec-only checks are
-/// rendered as real C (for failure parity with the evaluator), so they
-/// forbid parallel bodies exactly like their non-exec-only twins; the
-/// exec-only stat counters (CountBounds et al.) render as OpenMP
-/// reductions and stay legal.
-bool forbiddenInParBody(const LInst &I, bool ForC, bool RenderExecOnly) {
-  // Exec-only instructions never render in plain C, so they cannot
-  // break the emitted OpenMP region.
-  if (ForC && I.execOnly() && !RenderExecOnly)
-    return false;
+/// True when \p I may not execute inside a parallel region's body. The
+/// stat counters (CountBounds et al.) stay legal under \p ForC: they
+/// render as OpenMP reductions.
+bool forbiddenInParBody(const LInst &I, bool ForC) {
   switch (I.Op) {
   case LOp::SaveRing:   // rolling temporaries carry values serially
   case LOp::LoadRing:
@@ -998,10 +994,9 @@ bool forbiddenInParBody(const LInst &I, bool ForC, bool RenderExecOnly) {
   }
 }
 
-bool regionHasForbidden(const LIRProgram &P, size_t B, size_t E, bool ForC,
-                        bool RenderExecOnly) {
+bool regionHasForbidden(const LIRProgram &P, size_t B, size_t E, bool ForC) {
   for (size_t I = B + 1; I < E; ++I)
-    if (forbiddenInParBody(P.Code[I], ForC, RenderExecOnly))
+    if (forbiddenInParBody(P.Code[I], ForC))
       return true;
   return false;
 }
@@ -1037,7 +1032,7 @@ bool writesEscape(const LIRProgram &P, size_t B, size_t E) {
 /// end; inner body restrictions match DOALL. On success stores the
 /// inner LoopBegin index in \p InnerBegin.
 bool validateWavePair(const LIRProgram &P, size_t OB, bool ForC,
-                      bool RenderExecOnly, size_t &InnerBegin) {
+                      size_t &InnerBegin) {
   const LInst &Outer = P.Code[OB];
   size_t OE = static_cast<size_t>(Outer.Jump);
   if (Outer.backward())
@@ -1051,7 +1046,7 @@ bool validateWavePair(const LIRProgram &P, size_t OB, bool ForC,
   size_t IE = static_cast<size_t>(P.Code[IB].Jump);
   if (IE + 1 != OE) // something between the inner end and the outer end
     return false;
-  if (regionHasForbidden(P, IB, IE, ForC, RenderExecOnly))
+  if (regionHasForbidden(P, IB, IE, ForC))
     return false;
   // Prelude re-run safety: every cell re-evaluates the prelude from the
   // outer loop's *entry* register state, so a prelude read may only see
@@ -1091,7 +1086,7 @@ bool validateWavePair(const LIRProgram &P, size_t OB, bool ForC,
 
 } // namespace
 
-void lir::legalizePar(LIRProgram &P, bool ForC, bool RenderExecOnly) {
+void lir::legalizePar(LIRProgram &P, bool ForC) {
   // Pass 1: the outermost parallel level wins. Any par-flagged loop
   // nested inside another parallel region is cleared — except the
   // WaveInner directly paired with its still-flagged WaveOuter.
@@ -1134,12 +1129,11 @@ void lir::legalizePar(LIRProgram &P, bool ForC, bool RenderExecOnly) {
       continue;
     size_t E = static_cast<size_t>(In.Jump);
     if (In.parDoall()) {
-      if (regionHasForbidden(P, I, E, ForC, RenderExecOnly) ||
-          writesEscape(P, I, E))
+      if (regionHasForbidden(P, I, E, ForC) || writesEscape(P, I, E))
         demoteLoop(P, I);
     } else if (In.parWaveOuter()) {
       size_t IB = 0;
-      if (validateWavePair(P, I, ForC, RenderExecOnly, IB)) {
+      if (validateWavePair(P, I, ForC, IB)) {
         ClaimedInner.insert(IB);
       } else {
         for (size_t J = I + 1; J < E; ++J)
@@ -1153,4 +1147,44 @@ void lir::legalizePar(LIRProgram &P, bool ForC, bool RenderExecOnly) {
       demoteLoop(P, I);
     }
   }
+}
+
+bool lir::buildProgram(const ExecPlan &Plan, const ArrayDims &TargetDims,
+                       const ParamEnv &Params,
+                       const std::map<std::string, ArrayDims> &InputDims,
+                       const PipelineOptions &Opts, LIRProgram &P,
+                       std::string &Err) {
+  const bool Parallel = Opts.Threads > 1;
+  P = lowerPlan(Plan, TargetDims, Params, InputDims, Opts.AssumeTargetShape,
+                Opts.ValidateReads);
+  // Serial programs drop the ParPlanner flags up front, so the optimized
+  // serial LIR is the pre-parallel one (par-flagged loops opt out of
+  // strength reduction).
+  if (!Parallel)
+    stripParFlags(P);
+  if (Opts.Optimize) {
+    optimize(P);
+    // Residual checks whose ranges only become provable after LICM and
+    // strength reduction are deleted here; counter totals are kept, so
+    // ExecStats is bit-identical whether or not this runs.
+    if (Opts.SecondChance)
+      secondChance(P);
+  }
+  std::string SealErr;
+  if (!seal(P, SealErr)) {
+    Err = "internal error: LIR seal failed: " + SealErr;
+    return false;
+  }
+  // Demote any par-flagged loop whose lowered body turned out not to be
+  // safe for concurrent execution (needs a sealed program).
+  if (Parallel)
+    legalizePar(P, /*ForC=*/false);
+  return true;
+}
+
+unsigned lir::legalizeKernel(LIRProgram &P, unsigned Threads) {
+  if (Threads <= 1)
+    return 0;
+  legalizePar(P, /*ForC=*/true);
+  return Threads;
 }

@@ -5,10 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The IR-level pass pipeline shared by both backends: because the
-/// Executor evaluates and the CEmitter prints the *same* optimized
-/// stream, every pass lands in the in-process runtime and the emitted C
-/// simultaneously.
+/// The IR-level pass pipeline shared by both backends. buildProgram()
+/// owns the pass order and policy; the Executor evaluates its result and
+/// the CEmitter prints the *same* stream (after legalizeKernel), so every
+/// pass lands in the in-process runtime and the emitted C simultaneously.
 ///
 ///   1. Loop-invariant code motion — pure single-definition computations
 ///      whose operands are defined outside the loop move to the
@@ -41,7 +41,11 @@
 #ifndef HAC_LIR_LIRPASSES_H
 #define HAC_LIR_LIRPASSES_H
 
+#include "codegen/ExecPlan.h"
 #include "lir/LIR.h"
+
+#include <map>
+#include <string>
 
 namespace hac {
 namespace lir {
@@ -66,20 +70,44 @@ void stripParFlags(LIRProgram &P);
 /// defined-bitmap checks (CheckCollision/CheckDefined), a nested
 /// par-flagged loop (the outermost level wins), a wavefront prelude that
 /// is not pure value computation, or a body-written slot read after the
-/// loop. With \p ForC set it additionally demotes loops whose body
-/// contains rc-setting checks (CheckIdx/CheckNonZeroI/Fail), because the
-/// emitted `goto done` may not jump out of an OpenMP region; the
-/// evaluator handles those via per-worker error records instead.
-/// Requires a sealed program; flags stay consistent between LoopBegin and
-/// LoopEnd.
-///
-/// \p RenderExecOnly describes the JIT kernel contract: exec-only
-/// faulting checks are *rendered* into the generated C (for failure
-/// parity with the evaluator), so they too forbid parallel bodies; the
-/// exec-only stat counters stay legal (they render as OpenMP
-/// reductions). Idempotent — safe to re-run on an already-legalized
-/// program, since demotion only ever clears flags.
-void legalizePar(LIRProgram &P, bool ForC, bool RenderExecOnly = false);
+/// loop. With \p ForC set (the C kernel rules) it additionally demotes
+/// loops whose body contains rc-setting checks (CheckIdx/CheckNonZeroI/
+/// Fail), because the emitted `goto done` may not jump out of an OpenMP
+/// region; the evaluator handles those via per-worker error records
+/// instead. The stat counters stay legal either way (C renders them as
+/// OpenMP reductions). Requires a sealed program; flags stay consistent
+/// between LoopBegin and LoopEnd. Idempotent — safe to re-run on an
+/// already-legalized program, since demotion only ever clears flags.
+void legalizePar(LIRProgram &P, bool ForC);
+
+/// The evaluator's pipeline knobs (Executor setters of the same names).
+struct PipelineOptions {
+  /// > 1 keeps the ParPlanner flags and legalizes them; otherwise they
+  /// are stripped before optimize().
+  unsigned Threads = 1;
+  bool Optimize = true;     ///< optimize() (passes 1-6)
+  bool SecondChance = true; ///< secondChance() after optimize()
+  bool ValidateReads = false;     ///< lowerPlan's ValidateReads
+  bool AssumeTargetShape = false; ///< lowerPlan's AssumeTargetShape
+};
+
+/// The one LIR pipeline: lowerPlan → stripParFlags (serial) → optimize →
+/// secondChance → seal → legalizePar(ForC = false) (parallel). Every
+/// consumer of the evaluator's program calls it — the Executor, emitC,
+/// hacc -dump-lir — so what the C printer renders is exactly what the
+/// evaluator runs. Returns false with \p Err set when sealing fails.
+bool buildProgram(const ExecPlan &Plan, const ArrayDims &TargetDims,
+                  const ParamEnv &Params,
+                  const std::map<std::string, ArrayDims> &InputDims,
+                  const PipelineOptions &Opts, LIRProgram &P,
+                  std::string &Err);
+
+/// Readies the evaluator's program \p P for the C kernel at \p Threads
+/// evaluator threads: a parallel program is re-legalized under the
+/// stricter C rules (legalizePar(P, true)). Returns the OpenMP thread
+/// pin for KernelEmitOptions::Threads, 0 for a serial kernel. The JIT,
+/// emitC and hacc's -dump-lir kernel key all go through here.
+unsigned legalizeKernel(LIRProgram &P, unsigned Threads);
 
 } // namespace lir
 } // namespace hac

@@ -3,9 +3,7 @@
 #include "runtime/Executor.h"
 
 #include "jit/JitCompiler.h"
-#include "lir/LIRAbsint.h"
 #include "lir/LIREval.h"
-#include "lir/LIRLowering.h"
 #include "lir/LIRPasses.h"
 #include "parallel/ParPlan.h"
 #include "parallel/ThreadPool.h"
@@ -256,30 +254,14 @@ bool Executor::runImpl(const ExecPlan &Plan, DoubleArray &Target,
   if (!Prog) {
     {
       TraceSpan Span("lower.lir");
-      Local = lir::lowerPlan(Plan, TargetDims, Params, Key.InputDims,
-                             /*ForC=*/false, ValidateReads);
-      // Single-threaded runs strip the ParPlanner flags up front so the
-      // optimized serial LIR is byte-identical to the pre-parallel
-      // pipeline (par-flagged loops opt out of strength reduction).
-      if (!Parallel)
-        lir::stripParFlags(Local);
-      if (LIROptimize)
-        lir::optimize(Local);
-      // Second-chance elimination: residual checks whose ranges only
-      // become provable after LICM/strength reduction are deleted here,
-      // then DCE and counter folding re-run. Counter totals are kept, so
-      // ExecStats stays bit-identical whether or not this runs.
-      if (LIROptimize && LIRSecondChance)
-        lir::secondChance(Local);
-      std::string SealErr;
-      if (!lir::seal(Local, SealErr)) {
-        Err = "internal error: LIR seal failed: " + SealErr;
+      lir::PipelineOptions Opts;
+      Opts.Threads = Threads;
+      Opts.Optimize = LIROptimize;
+      Opts.SecondChance = LIRSecondChance;
+      Opts.ValidateReads = ValidateReads;
+      if (!lir::buildProgram(Plan, TargetDims, Params, Key.InputDims, Opts,
+                             Local, Err))
         return false;
-      }
-      // Demote any par-flagged loop whose lowered body turned out not
-      // to be safe for concurrent execution (needs a sealed program).
-      if (Parallel)
-        lir::legalizePar(Local, /*ForC=*/false);
     }
     if (traceEnabled()) {
       TraceSink &S = TraceSink::get();

@@ -183,6 +183,30 @@ TEST(CEmitTest, DivisionByZeroReported) {
   EXPECT_EQ(Fn(Out.data(), nullptr), HAC_ERR_DIV_ZERO);
 }
 
+TEST(CEmitTest, ResidualReadCheckReported) {
+  // a!(2*i - 12) reads a!0 at i = 6: the read check the analyses keep
+  // must fail in the C kernel exactly as it does in the evaluator,
+  // instead of reading target[-1].
+  Compiler C;
+  auto Compiled = C.compileArray(
+      "let n = 10 in letrec* a = array (1,n) "
+      "([ i := 1.0 | i <- [1..5] ] ++ "
+      " [ i := a!(2*i - 12) + 1.0 | i <- [6..n] ]) in a");
+  ASSERT_TRUE(Compiled && Compiled->Thunkless);
+  Executor Exec(Compiled->Params);
+  DoubleArray Ref;
+  std::string Err;
+  ASSERT_FALSE(Compiled->evaluate(Ref, Exec, Err));
+  EXPECT_NE(Err.find("array read out of bounds on 'a'"), std::string::npos)
+      << Err;
+  CEmitResult Emitted = emitC(Compiled->Plan, "kernel", Compiled->Params);
+  ASSERT_TRUE(Emitted.OK) << Emitted.Error;
+  KernelFn Fn = buildKernel(Emitted.Code, "kernel");
+  ASSERT_NE(Fn, nullptr);
+  DoubleArray Out(Compiled->Dims);
+  EXPECT_EQ(Fn(Out.data(), nullptr), HAC_ERR_BOUNDS);
+}
+
 TEST(CEmitTest, JacobiRollingRings) {
   checkUpdate("let n = 12 in "
               "bigupd a [ (i,j) := (a!(i-1,j) + a!(i+1,j) + a!(i,j-1) + "

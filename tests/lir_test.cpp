@@ -14,7 +14,9 @@
 //    interpreter, the LIR evaluator behind Executor, and the emitted C
 //    compiled by the system compiler — and requires bit-identical
 //    results. This is the unified-lowering invariant made into a test:
-//    both backends consume the same LIR, so they must agree exactly.
+//    both backends consume the same LIR, so they must agree exactly. It
+//    also requires emitC's kernel to be, byte for byte, the one the JIT
+//    renders from the Executor's program at 1 and 4 threads.
 //
 //===----------------------------------------------------------------------===//
 
@@ -74,7 +76,8 @@ struct LoweredText {
 LoweredText lowerToText(const ExecPlan &Plan, const ArrayDims &Dims,
                         const ParamEnv &Params) {
   LoweredText R;
-  R.Prog = lir::lowerPlan(Plan, Dims, Params, {}, /*ForC=*/false,
+  R.Prog = lir::lowerPlan(Plan, Dims, Params, {},
+                          /*AssumeTargetShape=*/false,
                           /*ValidateReads=*/false);
   std::string Err;
   EXPECT_TRUE(lir::seal(R.Prog, Err)) << Err;
@@ -88,6 +91,29 @@ LoweredText lowerToText(const ExecPlan &Plan, const ArrayDims &Dims,
 }
 
 using KernelFn = int (*)(double *, const double *const *);
+
+/// One renderer: the kernel inside emitC's output is, byte for byte,
+/// what emitKernelC renders from the program an Executor with the same
+/// thread count runs (lir::buildProgram with the Executor's defaults).
+void expectOneRenderer(const std::string &Path, const ExecPlan &Plan,
+                       const ParamEnv &Params) {
+  for (unsigned Threads : {1u, 4u}) {
+    lir::PipelineOptions Opts;
+    Opts.Threads = Threads;
+    lir::LIRProgram P;
+    std::string Err;
+    ASSERT_TRUE(lir::buildProgram(Plan, Plan.Dims, Params, {}, Opts, P, Err))
+        << Path << "\n" << Err;
+    KernelEmitOptions KOpts;
+    KOpts.Threads = lir::legalizeKernel(P, Threads);
+    CEmitResult Kernel = emitKernelC(P, "kernel_kernel", KOpts);
+    CEmitResult Emitted = emitC(Plan, "kernel", Params, {}, Threads);
+    ASSERT_TRUE(Kernel.OK) << Path << "\n" << Kernel.Error;
+    ASSERT_TRUE(Emitted.OK) << Path << "\n" << Emitted.Error;
+    EXPECT_EQ(Emitted.Code.substr(0, Kernel.Code.size()), Kernel.Code)
+        << Path << " @" << Threads << " threads";
+  }
+}
 
 } // namespace
 
@@ -435,6 +461,7 @@ void diffConstruction(const std::string &Path, const std::string &Source,
         << Path << ": serial vs " << Threads << "-thread LIR evaluator";
   }
 
+  expectOneRenderer(Path, Compiled->Plan, Compiled->Params);
   CEmitResult Emitted = emitC(Compiled->Plan, "kernel", Compiled->Params);
   ASSERT_TRUE(Emitted.OK) << Path << "\n" << Emitted.Error;
   ASSERT_TRUE(Emitted.InputNames.empty()) << Path;
@@ -499,6 +526,7 @@ void diffUpdate(const std::string &Path, const std::string &Source,
 
   ExecPlan Plan = Compiled->Plan;
   Plan.Dims = Dims;
+  expectOneRenderer(Path, Plan, Compiled->Params);
   CEmitResult Emitted = emitC(Plan, "kernel", Compiled->Params);
   ASSERT_TRUE(Emitted.OK) << Path << "\n" << Emitted.Error;
   std::string BuildErr;

@@ -312,7 +312,7 @@ TEST(LegalizePar, RingBodyDemotedToSerial) {
     Force(S);
 
   lir::LIRProgram P = lir::lowerPlan(Plan, Dims, Compiled->Params, {},
-                                     /*ForC=*/false,
+                                     /*AssumeTargetShape=*/false,
                                      /*ValidateReads=*/false);
   std::string Err;
   ASSERT_TRUE(lir::seal(P, Err)) << Err;
@@ -336,7 +336,7 @@ TEST(LegalizePar, StripParFlagsClearsEverything) {
   ASSERT_TRUE(Compiled.has_value() && Compiled->Thunkless);
   lir::LIRProgram P =
       lir::lowerPlan(Compiled->Plan, Compiled->Dims, Compiled->Params, {},
-                     /*ForC=*/false, /*ValidateReads=*/false);
+                     /*AssumeTargetShape=*/false, /*ValidateReads=*/false);
   std::string Err;
   ASSERT_TRUE(lir::seal(P, Err)) << Err;
   bool AnyFlagged = false;
