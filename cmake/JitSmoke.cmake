@@ -3,10 +3,10 @@
 # every letrec binding), and a second -jit=sync run against the same cache
 # directory must hit the disk cache instead of re-invoking cc. The cache
 # lives in an isolated directory under the build tree via HAC_JIT_CACHE so
-# the gate never touches (or depends on) the user's ~/.cache. Programs
-# whose driver mode only analyzes (bigupd/-u, accumArray/-accum) still run
-# to check the flag is accepted, but contribute no kernels. Invoked by
-# ctest as
+# the gate never touches (or depends on) the user's ~/.cache. Every
+# program kind runs, updates on their deterministic start array; programs
+# that fall back to the thunked interpreter contribute no kernels.
+# Invoked by ctest as
 #   cmake -DHACC=<hacc> -DPROGRAMS_DIR=<dir> -DCACHE_DIR=<dir> -P JitSmoke.cmake
 
 foreach(Var HACC PROGRAMS_DIR CACHE_DIR)
@@ -26,18 +26,8 @@ if(NOT Programs)
 endif()
 
 foreach(Program IN LISTS Programs)
-  # Infer the driver mode from the program text, the way the repo's docs
-  # describe running each example.
-  file(READ ${Program} Source)
-  set(ModeFlags "")
-  if(Source MATCHES "bigupd")
-    set(ModeFlags "-u")
-  elseif(Source MATCHES "accumArray")
-    set(ModeFlags "-accum")
-  endif()
-
   execute_process(
-    COMMAND ${HACC} ${ModeFlags} ${Program}
+    COMMAND ${HACC} ${Program}
     RESULT_VARIABLE InterpRC
     OUTPUT_VARIABLE InterpOut
     ERROR_VARIABLE InterpErr)
@@ -48,7 +38,7 @@ foreach(Program IN LISTS Programs)
 
   execute_process(
     COMMAND ${CMAKE_COMMAND} -E env HAC_JIT_CACHE=${CACHE_DIR}
-      ${HACC} -jit=sync ${ModeFlags} ${Program}
+      ${HACC} -jit=sync ${Program}
     RESULT_VARIABLE JitRC
     OUTPUT_VARIABLE JitOut
     ERROR_VARIABLE JitErr)

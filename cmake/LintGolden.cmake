@@ -7,9 +7,7 @@
 #   -- expect: none              no rule may fire
 #   -- hacc-flags: -Xverify-inject=doall   extra driver flags (optional)
 #
-# The driver mode is inferred from the source the same way LintSmoke.cmake
-# does (`bigupd` -> -u, `accumArray` -> -accum). Thread count is pinned to
-# -j 2 so the LIR race checks behave identically on any host (a program's
+# Thread count is pinned to -j 2 so the LIR race checks behave identically on any host (a program's
 # -- hacc-flags may override it with its own -j). Invoked by ctest as
 #   cmake -DHACC=<hacc> -DBAD_DIR=<dir> -P LintGolden.cmake
 
@@ -47,15 +45,8 @@ foreach(Program IN LISTS Programs)
     separate_arguments(ExtraFlags UNIX_COMMAND "${FlagLine}")
   endif()
 
-  set(ModeFlags "")
-  if(Source MATCHES "bigupd")
-    set(ModeFlags "-u")
-  elseif(Source MATCHES "accumArray")
-    set(ModeFlags "-accum")
-  endif()
-
   execute_process(
-    COMMAND ${HACC} -analyze -sarif - -j 2 ${ModeFlags} ${ExtraFlags}
+    COMMAND ${HACC} -analyze -sarif - -j 2 ${ExtraFlags}
             ${Program}
     RESULT_VARIABLE RC
     OUTPUT_VARIABLE Sarif

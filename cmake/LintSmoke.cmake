@@ -19,18 +19,8 @@ if(NOT Programs)
 endif()
 
 foreach(Program IN LISTS Programs)
-  # Infer the driver mode from the program text, the way the repo's docs
-  # describe running each example.
-  file(READ ${Program} Source)
-  set(ModeFlags "")
-  if(Source MATCHES "bigupd")
-    set(ModeFlags "-u")
-  elseif(Source MATCHES "accumArray")
-    set(ModeFlags "-accum")
-  endif()
-
   execute_process(
-    COMMAND ${HACC} -analyze -sarif - ${ModeFlags} ${Program}
+    COMMAND ${HACC} -analyze -sarif - ${Program}
     RESULT_VARIABLE RC
     OUTPUT_VARIABLE Sarif
     ERROR_VARIABLE Stderr)

@@ -22,18 +22,8 @@ if(NOT Programs)
 endif()
 
 foreach(Program IN LISTS Programs)
-  # Infer the driver mode from the program text, the way the repo's docs
-  # describe running each example.
-  file(READ ${Program} Source)
-  set(ModeFlags "")
-  if(Source MATCHES "bigupd")
-    set(ModeFlags "-u")
-  elseif(Source MATCHES "accumArray")
-    set(ModeFlags "-accum")
-  endif()
-
   execute_process(
-    COMMAND ${HACC} -dump-lir -selfcheck ${ModeFlags} ${Program}
+    COMMAND ${HACC} -dump-lir -selfcheck ${Program}
     RESULT_VARIABLE RC
     OUTPUT_VARIABLE Stdout
     ERROR_VARIABLE Stderr)
@@ -45,7 +35,7 @@ foreach(Program IN LISTS Programs)
 
   if(NOT Stdout MATCHES "nothing to lower")
     execute_process(
-      COMMAND ${HACC} -emit-c ${ModeFlags} ${Program}
+      COMMAND ${HACC} -emit-c ${Program}
       RESULT_VARIABLE EmitRC
       OUTPUT_VARIABLE EmitOut
       ERROR_VARIABLE EmitErr)

@@ -2,8 +2,8 @@
 # and `hacc -j 8` — and requires byte-identical stdout. The parallel
 # evaluator's contract is bit-identical results AND identical ExecStats
 # (stores/loads/checks lines) at any thread count, so the full printed
-# report must not change. Programs the driver cannot execute directly
-# exit 2 (update mode without an in-place schedule); both runs must then
+# report must not change. An update without an in-place schedule cannot
+# execute and exits 2; both runs must then
 # agree on the exit code too. Also runs `-selfcheck -j 8`, which pits the
 # 8-thread LIR evaluator against the OpenMP-compiled C kernel. Invoked by
 # ctest as
@@ -22,21 +22,13 @@ if(NOT Programs)
 endif()
 
 foreach(Program IN LISTS Programs)
-  file(READ ${Program} Source)
-  set(ModeFlags "")
-  if(Source MATCHES "bigupd")
-    set(ModeFlags "-u")
-  elseif(Source MATCHES "accumArray")
-    set(ModeFlags "-accum")
-  endif()
-
   execute_process(
-    COMMAND ${HACC} -j 1 ${ModeFlags} ${Program}
+    COMMAND ${HACC} -j 1 ${Program}
     RESULT_VARIABLE SerialRC
     OUTPUT_VARIABLE SerialOut
     ERROR_VARIABLE SerialErr)
   execute_process(
-    COMMAND ${HACC} -j 8 ${ModeFlags} ${Program}
+    COMMAND ${HACC} -j 8 ${Program}
     RESULT_VARIABLE ParRC
     OUTPUT_VARIABLE ParOut
     ERROR_VARIABLE ParErr)
@@ -57,7 +49,7 @@ foreach(Program IN LISTS Programs)
   endif()
 
   execute_process(
-    COMMAND ${HACC} -selfcheck -j 8 ${ModeFlags} ${Program}
+    COMMAND ${HACC} -selfcheck -j 8 ${Program}
     RESULT_VARIABLE CheckRC
     OUTPUT_VARIABLE CheckOut
     ERROR_VARIABLE CheckErr)

@@ -2,11 +2,9 @@
 # example program and asserts (a) the run succeeds, (b) the hot-loop
 # table appears on stderr with per-loop rows for every program the LIR
 # evaluator executed, and (c) the timeline file parses as Chrome
-# trace-event JSON with a nonempty traceEvents array. Update-mode
-# programs run with -selfcheck (plain -u only prints the schedule);
-# programs that fall back to the thunked interpreter legitimately
-# profile zero LIR loops and are exempt from the row check. Invoked by
-# ctest as
+# trace-event JSON with a nonempty traceEvents array. Programs that fall
+# back to the thunked interpreter legitimately profile zero LIR loops and
+# are exempt from the row check. Invoked by ctest as
 #   cmake -DHACC=<hacc> -DPROGRAMS_DIR=<dir> -DOUT_DIR=<dir> -P ProfileSmoke.cmake
 
 foreach(Var HACC PROGRAMS_DIR OUT_DIR)
@@ -22,20 +20,11 @@ if(NOT Programs)
 endif()
 
 foreach(Program IN LISTS Programs)
-  file(READ ${Program} Source)
   get_filename_component(Stem ${Program} NAME_WE)
-  set(ModeFlags "")
-  if(Source MATCHES "bigupd")
-    # Plain -u stops after printing the schedule; -selfcheck executes.
-    set(ModeFlags "-u" "-selfcheck")
-  elseif(Source MATCHES "accumArray")
-    set(ModeFlags "-accum")
-  endif()
 
   set(Timeline "${OUT_DIR}/profile_smoke_${Stem}.json")
   execute_process(
-    COMMAND ${HACC} -profile -timeline ${Timeline} -j 2 ${ModeFlags}
-            ${Program}
+    COMMAND ${HACC} -profile -timeline ${Timeline} -j 2 ${Program}
     RESULT_VARIABLE RC
     OUTPUT_VARIABLE Stdout
     ERROR_VARIABLE Stderr)

@@ -4,6 +4,15 @@
 // stdin), runs the full pipeline, and either prints the analysis report,
 // executes the program, or emits a C translation unit.
 //
+// The program's kind is read from its syntax (driver/Driver.h): a
+// `letrec*` array construction, an `accumArray`, a `bigupd` update, or a
+// module whose letrec* binds two or more arrays. Every mode below works
+// on every kind. Modules compile each binding through the shared
+// pipeline, schedule the inter-array DAG topologically, and recycle dead
+// intermediates' buffers for later arrays. An update runs on a
+// deterministic start array (1 + 0.25 * (k mod 7) at row-major position
+// k) over the shape its subscripts cover.
+//
 // Usage:
 //   hacc FILE            analyze + run, print result corners and stats
 //   hacc -report FILE    print the analysis report only
@@ -20,19 +29,15 @@
 //   hacc -emit-c FILE    emit the generated C kernel to stdout
 //   hacc -dump-lir FILE  print the unified Loop IR before and after the
 //                        optimization passes; exit 1 on verifier errors
-//   hacc -dump-module F  print a multi-array program's inter-array DAG,
-//                        topological schedule, and buffer plan
+//   hacc -dump-module F  print a module's inter-array DAG, topological
+//                        schedule, and buffer plan (a single-array
+//                        program shows as a one-binding module)
 //   hacc -dump-deps FILE print the dependence graph per array: edges
 //                        with direction/distance vectors, the deciding
 //                        tier (gcd/banerjee/omega/exact), and exactness
 //   hacc -Xdep-budget=N  Omega dependence-tier step budget (0 disables
 //                        the tier; overrides HAC_DEP_BUDGET)
 //   hacc -Xdep-selfcheck cross-check Omega verdicts against brute force
-//
-// Programs whose letrec* binds two or more arrays are detected and
-// compiled as modules: each binding runs through the shared pipeline,
-// the inter-array DAG is topologically scheduled, and dead
-// intermediates' buffers are recycled for later arrays.
 //   hacc -selfcheck FILE run the LIR evaluator AND the compiled-C kernel
 //                        and require bit-identical results
 //   hacc -j N ... FILE   evaluate with N worker threads (0 = auto:
@@ -40,11 +45,10 @@
 //   hacc -jit[=MODE] ... execution tier for the evaluator path: off |
 //                        sync | async (bare -jit = sync). Native
 //                        kernels are content-cached under HAC_JIT_CACHE
-//   hacc -u ... FILE     treat the program as a bigupd update
-//   hacc -accum ... FILE treat the program as an accumArray construction
 //   hacc -trace ... FILE print the phase-timing tree + counters to stderr
 //   hacc -json OUT ...   write compile+run telemetry as JSON to OUT
-//                        ("-" for stdout)
+//                        ("-" for stdout; not with a mode that prints
+//                        to stdout)
 //   hacc -profile ...    print the ranked hot-loop table (source lines,
 //                        par classes, HAC008 witnesses) to stderr after
 //                        the run; adds a "profile" object to -json
@@ -55,18 +59,16 @@
 // enables -trace-style output in any mode without flags; HAC_PROFILE
 // likewise implies -profile's stderr table.
 //
-// Exit codes: 0 success; 1 compile or runtime failure (diagnostics on
-// stderr) or, with -analyze, any error-severity finding; 2 (update mode)
-// compiled but not in place.
+// Exit codes: 0 success; 1 usage error, compile or runtime failure
+// (diagnostics on stderr) or, with -analyze, any error-severity finding;
+// 2 an update that compiled but cannot run in place.
 //
 //===----------------------------------------------------------------------===//
 
 #include "codegen/CEmitter.h"
 #include "codegen/ModuleEmitter.h"
-#include "codegen/ShapeEstimate.h"
-#include "core/Compiler.h"
 #include "core/InterpBridge.h"
-#include "core/Module.h"
+#include "driver/Driver.h"
 #include "jit/Jit.h"
 #include "jit/JitCompiler.h"
 #include "jit/KernelCache.h"
@@ -88,6 +90,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -101,17 +104,15 @@ struct DriverOptions {
   bool EmitCOnly = false;
   bool DumpLIR = false;
   bool SelfCheck = false;
-  bool Update = false;
-  bool Accum = false;
   /// -dump-module: print the inter-array DAG, topological schedule, and
-  /// buffer plan of a multi-array program, then stop.
+  /// buffer plan of a module, then stop.
   bool DumpModule = false;
   bool TraceTree = false;
   bool Profile = false;
   bool Analyze = false;
   /// -dump-deps: print the dependence graph with per-edge deciding-tier /
   /// exactness / distance provenance and the per-tier decision counts;
-  /// composes with -analyze, -report, and module mode, and stops after
+  /// composes with -analyze, -report, and -dump-module, and stops after
   /// the dump otherwise.
   bool DumpDeps = false;
   /// -Xdep-selfcheck: cross-check every Omega dependence verdict against
@@ -132,7 +133,7 @@ struct DriverOptions {
       lir::PlanVerifyOptions::Inject::None;
   /// Worker threads for the evaluator and the emitted C (-j). 0 = auto:
   /// HAC_THREADS, else the hardware concurrency. main() resolves it to a
-  /// concrete count (>= 1) before the mode runners see it.
+  /// concrete count (>= 1) before the program runs.
   unsigned Threads = 0;
   /// -jit[=off|sync|async]: execution-tier policy for the evaluator
   /// path. -1 = unset (the HAC_JIT environment policy, default off);
@@ -175,12 +176,6 @@ std::string readAll(const std::string &Path) {
   return OS.str();
 }
 
-/// Prints collected diagnostics to stderr (the single failure channel for
-/// every mode).
-void printDiags(Compiler &TheCompiler) {
-  TheCompiler.diags().print(std::cerr);
-}
-
 /// Applies -Werror / -Wno-hacNNN to the engine before compilation.
 void applyDiagOptions(const DriverOptions &Opts, DiagnosticEngine &Diags) {
   Diags.setWarningsAsErrors(Opts.WarningsAsErrors);
@@ -188,12 +183,21 @@ void applyDiagOptions(const DriverOptions &Opts, DiagnosticEngine &Diags) {
     Diags.setRuleEnabled(Rule, false);
 }
 
-/// Applies the dependence-engine knobs (-Xdep-budget, -Xdep-selfcheck)
-/// to the pipeline options. An explicit flag wins over HAC_DEP_BUDGET.
-void applyDepOptions(const DriverOptions &Opts, CompileOptions &CO) {
+/// The pipeline options: the dependence-engine knobs (an explicit
+/// -Xdep-budget wins over HAC_DEP_BUDGET) and, outside -analyze, an
+/// explicit -verify-lir, which runs the LIR validator inside the compile
+/// pipeline. Under -analyze the Verifier drives it instead, so its
+/// findings fold into the per-rule counts and SARIF.
+CompileOptions compileOptions(const DriverOptions &Opts) {
+  CompileOptions CO;
+  if (Opts.verifyLIROn() && !Opts.Analyze) {
+    CO.VerifyLIR = true;
+    CO.VerifyLIRThreads = Opts.Threads;
+  }
   if (Opts.DepBudget >= 0)
     CO.OmegaBudget = static_cast<uint64_t>(Opts.DepBudget);
   CO.DepSelfCheck = Opts.DepSelfCheck;
+  return CO;
 }
 
 /// Writes the SARIF document to Opts.SarifPath ("-" = stdout). Returns 0
@@ -214,14 +218,13 @@ int writeSarifTo(const DriverOptions &Opts, const DiagnosticEngine &Diags) {
   return 0;
 }
 
-/// The -analyze mode tail: runs the verifier over \p Compiled (null when
-/// compilation itself failed), prints the findings, and emits SARIF when
-/// requested. Returns the process exit code.
-template <typename CompiledT>
-int runAnalyze(const DriverOptions &Opts, Compiler &TheCompiler,
-               const CompiledT *Compiled) {
-  DiagnosticEngine &Diags = TheCompiler.diags();
-  VerifyResult VR;
+/// The -analyze mode tail: runs the verifier over \p P when it
+/// \p Compiled, prints the findings, and emits SARIF when requested.
+/// Returns the process exit code.
+int runAnalyze(const DriverOptions &Opts, ProgramCompiler &P,
+               bool Compiled) {
+  DiagnosticEngine &Diags = P.diags();
+  unsigned Total = 0;
   if (Compiled) {
     Verifier V(Diags);
     if (Opts.verifyLIROn()) {
@@ -230,13 +233,21 @@ int runAnalyze(const DriverOptions &Opts, Compiler &TheCompiler,
       LO.Inject = Opts.Inject;
       V.enableLIRVerify(LO);
     }
-    VR = V.verify(*Compiled);
+    // Module findings carry each binding's source locations, so they
+    // aggregate naturally.
+    if (P.Update)
+      Total = V.verify(*P.Update).total();
+    else if (P.Array)
+      Total = V.verify(*P.Array).total();
+    else
+      for (const ModuleBinding &B : P.Module->Bindings)
+        Total += V.verify(B.Array).total();
   }
   if (!Opts.quiet()) {
     if (Compiled)
-      std::printf("%s\n", Compiled->report().c_str());
+      std::printf("%s\n", P.report().c_str());
     Diags.print(std::cout);
-    std::printf("%u finding(s): %u error(s), %u warning(s)\n", VR.total(),
+    std::printf("%u finding(s): %u error(s), %u warning(s)\n", Total,
                 Diags.errorCount(), Diags.warningCount());
   } else {
     Diags.print(std::cerr);
@@ -351,14 +362,16 @@ void writeUpdateAnalysisJson(std::ostream &OS, const CompiledUpdate &C) {
      << "  }";
 }
 
-/// Emits the full telemetry document. \p WriteAnalysis writes the
-/// mode-specific analysis object (or null when compilation failed before
-/// analysis); \p ExecStatsPtr is null when nothing was executed.
-template <typename AnalysisFn>
-int writeTelemetry(const DriverOptions &Opts, const char *Mode,
-                   bool Thunkless, const std::string &FallbackReason,
-                   AnalysisFn WriteAnalysis, const ExecStats *ExecStatsPtr,
-                   const std::string &Error = "") {
+/// What the telemetry document reports about one invocation.
+struct Outcome {
+  ProgramKind Kind = ProgramKind::Array;
+  const ProgramCompiler *Compiled = nullptr; ///< null when compile failed
+  std::optional<ExecStats> Stats;            ///< set when a plan ran
+  std::string Error;
+};
+
+/// Emits the full telemetry document for \p Out.
+int writeTelemetry(const DriverOptions &Opts, const Outcome &Out) {
   std::ofstream FileOS;
   std::ostream *OS = &std::cout;
   if (Opts.JsonPath != "-") {
@@ -370,19 +383,27 @@ int writeTelemetry(const DriverOptions &Opts, const char *Mode,
     }
     OS = &FileOS;
   }
+  const ProgramCompiler *P = Out.Compiled;
   *OS << "{\n \"file\": " << jsonQuote(Opts.Path)
-      << ",\n \"mode\": " << jsonQuote(Mode)
-      << ",\n \"thunkless\": " << (Thunkless ? "true" : "false")
+      << ",\n \"mode\": " << jsonQuote(programKindName(Out.Kind))
+      << ",\n \"thunkless\": " << (P && P->thunkless() ? "true" : "false")
       << ",\n \"threads\": " << Opts.Threads;
-  if (!Error.empty())
-    *OS << ",\n \"error\": " << jsonQuote(Error);
-  if (!FallbackReason.empty())
-    *OS << ",\n \"fallback_reason\": " << jsonQuote(FallbackReason);
+  if (!Out.Error.empty())
+    *OS << ",\n \"error\": " << jsonQuote(Out.Error);
+  if (P && !P->fallbackReason().empty())
+    *OS << ",\n \"fallback_reason\": " << jsonQuote(P->fallbackReason());
   *OS << ",\n \"analysis\":\n";
-  WriteAnalysis(*OS);
-  if (ExecStatsPtr) {
+  if (!P)
+    *OS << "  null";
+  else if (P->Update)
+    writeUpdateAnalysisJson(*OS, *P->Update);
+  else if (P->Module)
+    writeModuleAnalysisJson(*OS, *P->Module);
+  else
+    writeArrayAnalysisJson(*OS, *P->Array);
+  if (Out.Stats) {
     *OS << ",\n \"exec_stats\":\n";
-    writeExecStatsJson(*OS, *ExecStatsPtr);
+    writeExecStatsJson(*OS, *Out.Stats);
   }
   if (ProfileSink::get().enabled()) {
     *OS << ",\n \"profile\":\n  ";
@@ -409,10 +430,8 @@ int writeTelemetry(const DriverOptions &Opts, const char *Mode,
   return 0;
 }
 
-auto nullAnalysis = [](std::ostream &OS) { OS << "  null"; };
-
 //===--------------------------------------------------------------------===//
-// LIR dump + selfcheck
+// LIR dump, C emission and selfcheck
 //===--------------------------------------------------------------------===//
 
 /// -dump-lir: prints the lowered program before the optimization passes
@@ -421,10 +440,10 @@ auto nullAnalysis = [](std::ostream &OS) { OS << "  null"; };
 /// loop annotations; the "after" dump shows what the chosen thread count
 /// actually executes (flags stripped when serial, legalized when
 /// parallel). Returns the process exit code.
-int dumpLIR(const std::string &What, const ExecPlan &Plan,
-            const ArrayDims &Dims, const ParamEnv &Params, unsigned Threads,
-            jit::JitMode JitM = jit::JitMode::Off) {
-  lir::LIRProgram P = lir::lowerPlan(Plan, Dims, Params, {},
+int dumpLIR(const ProgramPart &Part, unsigned Threads, jit::JitMode JitM) {
+  const ExecPlan &Plan = *Part.Plan;
+  const ParamEnv &Params = *Part.Params;
+  lir::LIRProgram P = lir::lowerPlan(Plan, Plan.Dims, Params, {},
                                      /*AssumeTargetShape=*/false,
                                      /*ValidateReads=*/false);
   std::string SealErr;
@@ -432,11 +451,11 @@ int dumpLIR(const std::string &What, const ExecPlan &Plan,
     std::fprintf(stderr, "hacc: LIR seal failed: %s\n", SealErr.c_str());
     return 1;
   }
-  std::printf("=== LIR for '%s' (before passes) ===\n%s", What.c_str(),
+  std::printf("=== LIR for '%s' (before passes) ===\n%s", Part.Name->c_str(),
               lir::printLIR(P).c_str());
   lir::PipelineOptions PO;
   PO.Threads = Threads;
-  if (!lir::buildProgram(Plan, Dims, Params, {}, PO, P, SealErr)) {
+  if (!lir::buildProgram(Plan, Plan.Dims, Params, {}, PO, P, SealErr)) {
     std::fprintf(stderr, "hacc: %s\n", SealErr.c_str());
     return 1;
   }
@@ -481,48 +500,38 @@ int dumpLIR(const std::string &What, const ExecPlan &Plan,
   return 0;
 }
 
-/// -emit-c: prints emitC's translation unit (kernel plus two-argument
-/// wrapper) and the order of its inputs. Returns the process exit code.
-int printEmittedC(const ExecPlan &Plan, const ParamEnv &Params,
-                  unsigned Threads) {
-  CEmitResult Emitted = emitC(Plan, "hac_kernel", Params, {}, Threads);
-  if (!Emitted.OK) {
-    std::fprintf(stderr, "hacc: C emission failed: %s\n",
-                 Emitted.Error.c_str());
+/// The program's C translation unit: emitC's kernel plus two-argument
+/// wrapper `hac_kernel` for a single plan, emitModuleC's whole-module
+/// driver `hac_module` for a module.
+CEmitResult emitProgramC(const ProgramCompiler &P, unsigned Threads) {
+  if (!P.Module) {
+    const ProgramPart Part = P.parts().front();
+    return emitC(*Part.Plan, "hac_kernel", *Part.Params, {}, Threads);
+  }
+  ModuleEmitResult M = emitModuleC(*P.Module, Threads);
+  CEmitResult R;
+  R.OK = M.OK;
+  R.Error = std::move(M.Error);
+  R.Code = std::move(M.Code);
+  return R;
+}
+
+/// -selfcheck tail: runs the program on the LIR evaluator, then its
+/// compiled C on the same start state, and requires bit-identical
+/// results. Returns the process exit code.
+int runSelfCheck(const DriverOptions &Opts, const ProgramCompiler &P,
+                 Outcome &Out) {
+  Executor Exec(P.params());
+  Exec.setNumThreads(Opts.Threads);
+  DoubleArray Ref;
+  std::string Err;
+  if (!P.run(Exec, Ref, Err)) {
+    std::fprintf(stderr, "hacc: runtime error: %s\n", Err.c_str());
+    Out.Error = "runtime error: " + Err;
     return 1;
   }
-  std::fputs(Emitted.Code.c_str(), stdout);
-  if (!Emitted.InputNames.empty()) {
-    std::fprintf(stdout, "/* inputs (in order):");
-    for (const std::string &Name : Emitted.InputNames)
-      std::fprintf(stdout, " %s", Name.c_str());
-    std::fprintf(stdout, " */\n");
-  }
-  return 0;
-}
-
-using KernelFn = int (*)(double *, const double *const *);
-
-/// Compiles emitted C and resolves \p Symbol (hac_kernel for single
-/// plans, hac_module for module drivers) via the shared jit/ native
-/// build path: intermediates stage in the managed per-process scratch
-/// directory (cleaned at exit, failure paths included), HAC_JIT_CC can
-/// override the compiler, and the OpenMP flag retry lives in one place.
-KernelFn buildNativeKernel(const std::string &Code, std::string &Error,
-                           bool OpenMP = false,
-                           const char *Symbol = "hac_kernel") {
-  return reinterpret_cast<KernelFn>(
-      jit::buildNativeKernel(Code, Symbol, Error, OpenMP));
-}
-
-/// -selfcheck tail: emits C for \p Plan, runs the native kernel on
-/// \p Start (already pre-initialized the way the evaluator's target
-/// was), and requires bit-identical agreement with the evaluator's
-/// \p Ref. Returns the process exit code.
-int runSelfCheckKernel(const ExecPlan &Plan, const ParamEnv &Params,
-                       const DoubleArray &Ref, DoubleArray Start,
-                       unsigned Threads) {
-  CEmitResult Emitted = emitC(Plan, "hac_kernel", Params, {}, Threads);
+  Out.Stats = Exec.stats();
+  CEmitResult Emitted = emitProgramC(P, Opts.Threads);
   if (!Emitted.OK) {
     std::printf("selfcheck: C backend declined (%s); evaluator-only\n",
                 Emitted.Error.c_str());
@@ -533,19 +542,22 @@ int runSelfCheckKernel(const ExecPlan &Plan, const ParamEnv &Params,
     return 0;
   }
   std::string BuildErr;
-  KernelFn Fn = buildNativeKernel(Emitted.Code, BuildErr,
-                                  /*OpenMP=*/Threads > 1);
+  using KernelFn = int (*)(double *, const double *const *);
+  auto Fn = reinterpret_cast<KernelFn>(jit::buildNativeKernel(
+      Emitted.Code, P.Module ? "hac_module" : "hac_kernel", BuildErr,
+      /*OpenMP=*/Opts.Threads > 1));
   if (!Fn) {
     std::fprintf(stderr, "hacc: selfcheck: %s\n", BuildErr.c_str());
     return 1;
   }
-  int Rc = Fn(Start.data(), nullptr);
+  DoubleArray Native = P.startState();
+  int Rc = Fn(Native.data(), nullptr);
   if (Rc != 0) {
     std::fprintf(stderr, "hacc: selfcheck: native kernel failed (rc=%d)\n",
                  Rc);
     return 1;
   }
-  double Diff = DoubleArray::maxAbsDiff(Ref, Start);
+  double Diff = DoubleArray::maxAbsDiff(Ref, Native);
   if (Diff > 0.0) {
     std::fprintf(stderr,
                  "hacc: selfcheck: evaluator and compiled C diverge "
@@ -558,486 +570,182 @@ int runSelfCheckKernel(const ExecPlan &Plan, const ParamEnv &Params,
   return 0;
 }
 
-//===--------------------------------------------------------------------===//
-// Modes
-//===--------------------------------------------------------------------===//
-
-int runArray(const DriverOptions &Opts, const std::string &Source) {
-  CompileOptions CO;
-  // Outside -analyze an explicit -verify-lir runs the LIR validator
-  // inside the compile pipeline; under -analyze the Verifier drives it
-  // instead (findings fold into the per-rule counts and SARIF).
-  if (Opts.verifyLIROn() && !Opts.Analyze) {
-    CO.VerifyLIR = true;
-    CO.VerifyLIRThreads = Opts.Threads;
-  }
-  applyDepOptions(Opts, CO);
-  Compiler TheCompiler(CO);
-  applyDiagOptions(Opts, TheCompiler.diags());
-  auto Compiled = Opts.Accum ? TheCompiler.compileAccum(Source)
-                             : TheCompiler.compileArray(Source);
-  const char *Mode = Opts.Accum ? "accum" : "array";
-  if (Compiled && CO.VerifyLIR) {
-    printDiags(TheCompiler);
-    if (TheCompiler.diags().hasErrors())
-      return 1;
-  }
-  if (!Compiled) {
-    if (Opts.Analyze) {
-      runAnalyze<CompiledArray>(Opts, TheCompiler, nullptr);
-      if (!Opts.JsonPath.empty())
-        writeTelemetry(Opts, Mode, false, "", nullAnalysis, nullptr,
-                       "compile failed: " + TheCompiler.diags().str());
+/// -emit-c, -dump-lir and -selfcheck: the modes that lower the program's
+/// plans. Returns the process exit code.
+int runLowered(const DriverOptions &Opts, ProgramCompiler &P, Outcome &Out) {
+  if (!P.thunkless()) {
+    if (Opts.EmitCOnly) {
+      std::fprintf(stderr, "hacc: cannot emit C: %s\n",
+                   P.fallbackReason().c_str());
+      P.diags().print(std::cerr);
       return 1;
     }
-    printDiags(TheCompiler);
-    if (!Opts.JsonPath.empty())
-      writeTelemetry(Opts, Mode, false, "", nullAnalysis, nullptr,
-                     "compile failed: " + TheCompiler.diags().str());
+    std::printf("lir: %s (%s); nothing to lower\n",
+                P.Update   ? "update is not in-place"
+                : P.Module ? "module needs thunked evaluation"
+                           : "program needs thunked evaluation",
+                P.fallbackReason().c_str());
+    return 0;
+  }
+  if (P.Update && P.Update->Plan.Dims.empty()) {
+    std::fprintf(stderr, "hacc: cannot derive the update target's shape "
+                         "from its subscripts\n");
     return 1;
   }
-  if (Opts.DumpDeps) {
-    if (!Opts.quiet())
-      std::printf("deps for '%s':\n%s", Compiled->Name.c_str(),
-                  Compiled->Graph.describe().c_str());
-    if (!Opts.Analyze && !Opts.ReportOnly)
-      return 0;
-  }
   if (Opts.EmitCOnly) {
-    if (!Compiled->Thunkless) {
+    CEmitResult Emitted = emitProgramC(P, Opts.Threads);
+    if (!Emitted.OK) {
       std::fprintf(stderr, "hacc: cannot emit C: %s\n",
-                   Compiled->FallbackReason.c_str());
-      printDiags(TheCompiler);
+                   Emitted.Error.c_str());
+      P.diags().print(std::cerr);
       return 1;
     }
-    return printEmittedC(Compiled->Plan, Compiled->Params, Opts.Threads);
-  }
-  if (Opts.DumpLIR || Opts.SelfCheck) {
-    if (!Compiled->Thunkless) {
-      std::printf("lir: program needs thunked evaluation (%s); "
-                  "nothing to lower\n",
-                  Compiled->FallbackReason.c_str());
-      return 0;
+    std::fputs(Emitted.Code.c_str(), stdout);
+    if (!Emitted.InputNames.empty()) {
+      std::printf("/* inputs (in order):");
+      for (const std::string &Name : Emitted.InputNames)
+        std::printf(" %s", Name.c_str());
+      std::printf(" */\n");
     }
-    if (Opts.DumpLIR) {
-      int RC = dumpLIR(Compiled->Name, Compiled->Plan, Compiled->Dims,
-                       Compiled->Params, Opts.Threads, Opts.jitMode());
-      if (RC != 0)
+    return 0;
+  }
+  if (Opts.DumpLIR)
+    for (const ProgramPart &Part : P.parts())
+      if (int RC = dumpLIR(Part, Opts.Threads, Opts.jitMode()))
         return RC;
-    }
-    if (Opts.SelfCheck) {
-      Executor Exec(Compiled->Params);
-      Exec.setNumThreads(Opts.Threads);
-      DoubleArray Ref;
-      std::string Err;
-      if (!Compiled->evaluate(Ref, Exec, Err)) {
-        std::fprintf(stderr, "hacc: runtime error: %s\n", Err.c_str());
-        return 1;
-      }
-      DoubleArray Start(Compiled->Dims);
-      if (Compiled->IsAccum)
-        for (size_t I = 0, N = Start.size(); I != N; ++I)
-          Start[I] = Compiled->AccumInit;
-      int RC = runSelfCheckKernel(Compiled->Plan, Compiled->Params, Ref,
-                                  std::move(Start), Opts.Threads);
-      if (RC != 0)
-        return RC;
-    }
-    return 0;
-  }
+  return Opts.SelfCheck ? runSelfCheck(Opts, P, Out) : 0;
+}
 
-  auto ArrayAnalysis = [&](std::ostream &OS) {
-    writeArrayAnalysisJson(OS, *Compiled);
-  };
+//===--------------------------------------------------------------------===//
+// The program flow
+//===--------------------------------------------------------------------===//
 
-  if (Opts.Analyze) {
-    int RC = runAnalyze(Opts, TheCompiler, &*Compiled);
-    if (!Opts.JsonPath.empty()) {
-      int JsonRC = writeTelemetry(Opts, Mode, Compiled->Thunkless,
-                                  Compiled->FallbackReason, ArrayAnalysis,
-                                  nullptr);
-      if (JsonRC != 0)
-        return JsonRC;
-    }
-    return RC;
+/// Runs a program the static path declined under the lazy reference
+/// interpreter, as a real compiler for this language would. Returns the
+/// process exit code.
+int runInterpreter(const DriverOptions &Opts, const std::string &Source) {
+  Interpreter Interp;
+  Interp.setFuel(500'000'000);
+  DiagnosticEngine Diags;
+  ValuePtr V = runThunked(Source, {}, Interp, Diags);
+  if (V->isError()) {
+    std::fprintf(stderr, "hacc: %s\n", V->str().c_str());
+    return 1;
   }
-
-  if (!Opts.quiet())
-    std::printf("%s\n", Compiled->report().c_str());
-  if (Opts.ReportOnly) {
-    if (!Opts.JsonPath.empty())
-      return writeTelemetry(Opts, Mode, Compiled->Thunkless,
-                            Compiled->FallbackReason, ArrayAnalysis,
-                            nullptr);
-    return 0;
-  }
-  if (!Compiled->Thunkless) {
-    // Fall back to the lazy reference interpreter, as a real compiler
-    // for this language would.
-    if (!Opts.quiet())
-      std::printf("falling back to thunked evaluation...\n");
-    Interpreter Interp;
-    Interp.setFuel(500'000'000);
-    DiagnosticEngine Diags;
-    ValuePtr V = runThunked(Source, {}, Interp, Diags);
-    if (V->isError()) {
-      std::fprintf(stderr, "hacc: %s\n", V->str().c_str());
-      return 1;
-    }
-    std::string ConvErr;
-    auto Ref = interpArrayToDouble(Interp, V, ConvErr);
-    if (!Ref) {
-      std::fprintf(stderr, "hacc: %s\n", ConvErr.c_str());
-      return 1;
-    }
-    if (!Opts.quiet()) {
-      std::printf("result: %zu elements; first = %g, last = %g\n",
-                  Ref->size(), Ref->size() ? (*Ref)[0] : 0.0,
-                  Ref->size() ? (*Ref)[Ref->size() - 1] : 0.0);
-      std::printf("stats: thunks=%llu forced=%llu cons-cells=%llu\n",
-                  (unsigned long long)Interp.stats().ThunksCreated,
-                  (unsigned long long)Interp.stats().ThunksForced,
-                  (unsigned long long)Interp.stats().ConsCells);
-    }
-    if (!Opts.JsonPath.empty())
-      return writeTelemetry(Opts, Mode, false, Compiled->FallbackReason,
-                            ArrayAnalysis, nullptr);
-    return 0;
-  }
-
-  Executor Exec(Compiled->Params);
-  Exec.setNumThreads(Opts.Threads);
-  Exec.setJitMode(Opts.jitMode());
-  DoubleArray Out;
-  std::string Err;
-  if (!Compiled->evaluate(Out, Exec, Err)) {
-    std::fprintf(stderr, "hacc: runtime error: %s\n", Err.c_str());
-    if (!Opts.JsonPath.empty())
-      writeTelemetry(Opts, Mode, true, "", ArrayAnalysis, &Exec.stats(),
-                     "runtime error: " + Err);
+  std::string ConvErr;
+  auto Ref = interpArrayToDouble(Interp, V, ConvErr);
+  if (!Ref) {
+    std::fprintf(stderr, "hacc: %s\n", ConvErr.c_str());
     return 1;
   }
   if (!Opts.quiet()) {
-    std::printf("result: %zu elements; first = %g, last = %g\n", Out.size(),
-                Out.size() ? Out[0] : 0.0,
-                Out.size() ? Out[Out.size() - 1] : 0.0);
+    std::printf("result: %zu elements; first = %g, last = %g\n",
+                Ref->size(), Ref->size() ? (*Ref)[0] : 0.0,
+                Ref->size() ? (*Ref)[Ref->size() - 1] : 0.0);
+    std::printf("stats: thunks=%llu forced=%llu cons-cells=%llu\n",
+                (unsigned long long)Interp.stats().ThunksCreated,
+                (unsigned long long)Interp.stats().ThunksForced,
+                (unsigned long long)Interp.stats().ConsCells);
+  }
+  return 0;
+}
+
+/// Compiles \p Source as \p P's kind and carries out the requested mode.
+/// Every kind takes the same steps; they differ only in the start state,
+/// the kernel symbol and the module DAG dump, all behind P. Returns the
+/// process exit code; \p Out collects what the telemetry reports.
+int runProgram(const DriverOptions &Opts, ProgramCompiler &P,
+               const std::string &Source, Outcome &Out) {
+  if (Opts.DumpModule && P.kind() != ProgramKind::Module) {
+    std::fprintf(stderr,
+                 "hacc: -dump-module needs an array or module program "
+                 "(this one is '%s')\n",
+                 programKindName(P.kind()));
+    return 1;
+  }
+  DiagnosticEngine &Diags = P.diags();
+  applyDiagOptions(Opts, Diags);
+  if (!P.compile(Source)) {
+    Out.Error = "compile failed: " + Diags.str();
+    if (Opts.Analyze)
+      runAnalyze(Opts, P, /*Compiled=*/false);
+    else
+      Diags.print(std::cerr);
+    return 1;
+  }
+  Out.Compiled = &P;
+  if (Opts.verifyLIROn() && !Opts.Analyze) {
+    // The LIR validator ran inside the compile; its findings go to
+    // stderr and its errors fail the run.
+    Diags.print(std::cerr);
+    if (Diags.hasErrors())
+      return 1;
+  }
+
+  if (Opts.DumpDeps) {
+    if (!Opts.quiet())
+      for (const ProgramPart &Part : P.parts())
+        std::printf("deps for '%s':\n%s", Part.Name->c_str(),
+                    Part.Graph->describe().c_str());
+    if (!Opts.Analyze && !Opts.ReportOnly && !Opts.DumpModule)
+      return 0;
+  }
+  if (Opts.DumpModule) {
+    std::printf("%s", P.Module->dumpDag().c_str());
+    if (!Opts.quiet())
+      Diags.print(std::cout);
+    return 0;
+  }
+  if (Opts.EmitCOnly || Opts.DumpLIR || Opts.SelfCheck)
+    return runLowered(Opts, P, Out);
+  if (Opts.Analyze)
+    return runAnalyze(Opts, P, /*Compiled=*/true);
+
+  if (!Opts.quiet())
+    std::printf("%s\n", P.report().c_str());
+  // An update that cannot run in place has nothing to fall back to.
+  if (P.Update && !P.thunkless())
+    return 2;
+  if (Opts.ReportOnly)
+    return 0;
+  if (!P.thunkless()) {
+    if (!Opts.quiet())
+      std::printf("falling back to thunked evaluation...\n");
+    if (P.Array)
+      return runInterpreter(Opts, Source);
+  }
+
+  Executor Exec(P.params());
+  Exec.setNumThreads(Opts.Threads);
+  Exec.setJitMode(Opts.jitMode());
+  DoubleArray Result;
+  std::string Err;
+  ModuleRunStats Stats;
+  const bool OK = P.run(Exec, Result, Err, &Stats);
+  if (P.thunkless())
+    Out.Stats = Exec.stats();
+  if (!OK) {
+    std::fprintf(stderr, "hacc: runtime error: %s\n", Err.c_str());
+    Out.Error = "runtime error: " + Err;
+    return 1;
+  }
+  if (Opts.quiet())
+    return 0;
+  std::printf("result: %zu elements; first = %g, last = %g\n", Result.size(),
+              Result.size() ? Result[0] : 0.0,
+              Result.size() ? Result[Result.size() - 1] : 0.0);
+  if (!P.Module)
     std::printf("stats: stores=%llu loads=%llu checks=%llu fused=%llu\n",
                 (unsigned long long)Exec.stats().Stores,
                 (unsigned long long)Exec.stats().Loads,
                 (unsigned long long)(Exec.stats().BoundsChecks +
                                      Exec.stats().CollisionChecks),
                 (unsigned long long)Exec.stats().FusedIters);
-  }
-  if (!Opts.JsonPath.empty())
-    return writeTelemetry(Opts, Mode, true, "", ArrayAnalysis,
-                          &Exec.stats());
-  return 0;
-}
-
-int runUpdate(const DriverOptions &Opts, const std::string &Source) {
-  CompileOptions CO;
-  if (Opts.verifyLIROn() && !Opts.Analyze) {
-    CO.VerifyLIR = true;
-    CO.VerifyLIRThreads = Opts.Threads;
-  }
-  applyDepOptions(Opts, CO);
-  Compiler TheCompiler(CO);
-  applyDiagOptions(Opts, TheCompiler.diags());
-  auto Compiled = TheCompiler.compileUpdate(Source);
-  if (Compiled && CO.VerifyLIR) {
-    printDiags(TheCompiler);
-    if (TheCompiler.diags().hasErrors())
-      return 1;
-  }
-  if (!Compiled) {
-    if (Opts.Analyze)
-      runAnalyze<CompiledUpdate>(Opts, TheCompiler, nullptr);
-    else
-      printDiags(TheCompiler);
-    if (!Opts.JsonPath.empty())
-      writeTelemetry(Opts, "update", false, "", nullAnalysis, nullptr,
-                     "compile failed: " + TheCompiler.diags().str());
-    return 1;
-  }
-  if (Opts.DumpDeps) {
-    if (!Opts.quiet())
-      std::printf("deps for '%s':\n%s", Compiled->BaseName.c_str(),
-                  Compiled->Graph.describe().c_str());
-    if (!Opts.Analyze && !Opts.ReportOnly)
-      return 0;
-  }
-  if (Opts.EmitCOnly && !Compiled->InPlace) {
-    std::fprintf(stderr, "hacc: cannot emit C: %s\n",
-                 Compiled->FallbackReason.c_str());
-    printDiags(TheCompiler);
-    return 1;
-  }
-  if (Opts.EmitCOnly || Opts.DumpLIR || Opts.SelfCheck) {
-    if (!Compiled->InPlace) {
-      std::printf("lir: update is not in-place (%s); nothing to lower\n",
-                  Compiled->FallbackReason.c_str());
-      return 0;
-    }
-    ExecPlan Plan = Compiled->Plan;
-    if (Plan.Dims.empty() &&
-        !estimateUpdateDims(Plan, Compiled->Params, Plan.Dims)) {
-      const char *Msg = "cannot derive the update target's shape from its "
-                        "subscripts";
-      if (Opts.EmitCOnly) {
-        std::fprintf(stderr, "hacc: cannot emit C: %s\n", Msg);
-        return 1;
-      }
-      std::printf("lir: %s; skipped\n", Msg);
-      return 0;
-    }
-    if (Opts.EmitCOnly)
-      return printEmittedC(Plan, Compiled->Params, Opts.Threads);
-    if (Opts.DumpLIR) {
-      int RC = dumpLIR(Compiled->BaseName, Plan, Plan.Dims,
-                       Compiled->Params, Opts.Threads, Opts.jitMode());
-      if (RC != 0)
-        return RC;
-    }
-    if (Opts.SelfCheck) {
-      DoubleArray Start(Plan.Dims);
-      for (size_t I = 0, N = Start.size(); I != N; ++I)
-        Start[I] = 1.0 + 0.25 * static_cast<double>(I % 7);
-      DoubleArray Ref = Start;
-      Executor Exec(Compiled->Params);
-      Exec.setNumThreads(Opts.Threads);
-      std::string Err;
-      if (!Compiled->evaluateInPlace(Ref, Exec, Err)) {
-        std::fprintf(stderr, "hacc: runtime error: %s\n", Err.c_str());
-        return 1;
-      }
-      int RC = runSelfCheckKernel(Plan, Compiled->Params, Ref,
-                                  std::move(Start), Opts.Threads);
-      if (RC != 0)
-        return RC;
-    }
-    return 0;
-  }
-  auto UpdateAnalysis = [&](std::ostream &OS) {
-    writeUpdateAnalysisJson(OS, *Compiled);
-  };
-  if (Opts.Analyze) {
-    int RC = runAnalyze(Opts, TheCompiler, &*Compiled);
-    if (!Opts.JsonPath.empty()) {
-      int JsonRC =
-          writeTelemetry(Opts, "update", Compiled->InPlace,
-                         Compiled->FallbackReason, UpdateAnalysis, nullptr);
-      if (JsonRC != 0)
-        return JsonRC;
-    }
-    return RC;
-  }
-  if (!Opts.quiet())
-    std::printf("%s\n", Compiled->report().c_str());
-  if (!Opts.JsonPath.empty()) {
-    int JsonRC = writeTelemetry(Opts, "update", Compiled->InPlace,
-                                Compiled->FallbackReason, UpdateAnalysis,
-                                nullptr);
-    if (JsonRC != 0)
-      return JsonRC;
-  }
-  return Compiled->InPlace ? 0 : 2;
-}
-
-/// Multi-array programs: compile through the ModuleCompiler, print the
-/// DAG / report, and execute binding-by-binding with buffer reuse. The
-/// single-array flags compose: -report, -analyze, -emit-c (whole-module
-/// translation unit), -dump-lir (every binding), -selfcheck (native
-/// hac_module vs the evaluator), -j, -trace, -json.
-int runModule(const DriverOptions &Opts, const std::string &Source) {
-  CompileOptions CO;
-  if (Opts.verifyLIROn() && !Opts.Analyze) {
-    CO.VerifyLIR = true;
-    CO.VerifyLIRThreads = Opts.Threads;
-  }
-  applyDepOptions(Opts, CO);
-  ModuleCompiler MC(CO);
-  applyDiagOptions(Opts, MC.diags());
-  auto M = MC.compileModule(Source);
-  if (M && CO.VerifyLIR) {
-    MC.diags().print(std::cerr);
-    if (MC.diags().hasErrors())
-      return 1;
-  }
-  if (!M) {
-    MC.diags().print(std::cerr);
-    if (!Opts.JsonPath.empty())
-      writeTelemetry(Opts, "module", false, "", nullAnalysis, nullptr,
-                     "compile failed: " + MC.diags().str());
-    return 1;
-  }
-
-  auto ModuleAnalysis = [&](std::ostream &OS) {
-    writeModuleAnalysisJson(OS, *M);
-  };
-
-  if (Opts.DumpDeps) {
-    if (!Opts.quiet())
-      for (unsigned B : M->TopoOrder) {
-        const ModuleBinding &MB = M->Bindings[B];
-        std::printf("deps for '%s':\n%s", MB.Name.c_str(),
-                    MB.Array.Graph.describe().c_str());
-      }
-    if (!Opts.Analyze && !Opts.ReportOnly && !Opts.DumpModule)
-      return 0;
-  }
-
-  if (Opts.DumpModule) {
-    std::printf("%s", M->dumpDag().c_str());
-    if (!Opts.quiet())
-      MC.diags().print(std::cout);
-    if (!Opts.JsonPath.empty())
-      return writeTelemetry(Opts, "module", M->Thunkless, M->FallbackReason,
-                            ModuleAnalysis, nullptr);
-    return 0;
-  }
-
-  if (Opts.Analyze) {
-    // Run the static verifier over every binding; findings carry the
-    // binding's source locations, so they aggregate naturally.
-    DiagnosticEngine &Diags = MC.diags();
-    Verifier V(Diags);
-    if (Opts.verifyLIROn()) {
-      LIRVerifyOptions LO;
-      LO.Threads = Opts.Threads;
-      LO.Inject = Opts.Inject;
-      V.enableLIRVerify(LO);
-    }
-    unsigned Total = 0;
-    for (const ModuleBinding &B : M->Bindings)
-      Total += V.verify(B.Array).total();
-    if (!Opts.quiet()) {
-      std::printf("%s\n", M->report().c_str());
-      Diags.print(std::cout);
-      std::printf("%u finding(s): %u error(s), %u warning(s)\n", Total,
-                  Diags.errorCount(), Diags.warningCount());
-    } else {
-      Diags.print(std::cerr);
-    }
-    if (!Opts.SarifPath.empty()) {
-      int RC = writeSarifTo(Opts, Diags);
-      if (RC != 0)
-        return RC;
-    }
-    if (!Opts.JsonPath.empty()) {
-      int JsonRC = writeTelemetry(Opts, "module", M->Thunkless,
-                                  M->FallbackReason, ModuleAnalysis, nullptr);
-      if (JsonRC != 0)
-        return JsonRC;
-    }
-    return Diags.hasErrors() ? 1 : 0;
-  }
-
-  if (Opts.EmitCOnly) {
-    ModuleEmitResult Emitted = emitModuleC(*M, Opts.Threads);
-    if (!Emitted.OK) {
-      std::fprintf(stderr, "hacc: cannot emit C: %s\n",
-                   Emitted.Error.c_str());
-      MC.diags().print(std::cerr);
-      return 1;
-    }
-    std::fputs(Emitted.Code.c_str(), stdout);
-    return 0;
-  }
-
-  if (Opts.DumpLIR) {
-    if (!M->Thunkless) {
-      std::printf("lir: module needs thunked evaluation (%s); "
-                  "nothing to lower\n",
-                  M->FallbackReason.c_str());
-      return 0;
-    }
-    for (unsigned B : M->TopoOrder) {
-      const ModuleBinding &MB = M->Bindings[B];
-      int RC = dumpLIR(MB.Name, MB.Array.Plan, MB.Array.Dims,
-                       MB.Array.Params, Opts.Threads, Opts.jitMode());
-      if (RC != 0)
-        return RC;
-    }
-    if (!Opts.SelfCheck)
-      return 0;
-  }
-
-  if (!Opts.quiet() && !Opts.SelfCheck)
-    std::printf("%s\n", M->report().c_str());
-  if (Opts.ReportOnly) {
-    if (!Opts.JsonPath.empty())
-      return writeTelemetry(Opts, "module", M->Thunkless, M->FallbackReason,
-                            ModuleAnalysis, nullptr);
-    return 0;
-  }
-
-  if (!M->Thunkless && !Opts.quiet())
-    std::printf("falling back to thunked evaluation...\n");
-
-  Executor Exec(M->Params);
-  Exec.setNumThreads(Opts.Threads);
-  Exec.setJitMode(Opts.jitMode());
-  DoubleArray Out;
-  std::string Err;
-  ModuleRunStats Stats;
-  if (!evaluateModule(*M, {}, Exec, Out, Err, &Stats)) {
-    std::fprintf(stderr, "hacc: runtime error: %s\n", Err.c_str());
-    if (!Opts.JsonPath.empty())
-      writeTelemetry(Opts, "module", M->Thunkless, M->FallbackReason,
-                     ModuleAnalysis, nullptr, "runtime error: " + Err);
-    return 1;
-  }
-
-  if (Opts.SelfCheck) {
-    ModuleEmitResult Emitted = emitModuleC(*M, Opts.Threads);
-    if (!Emitted.OK) {
-      std::printf("selfcheck: C backend declined (%s); evaluator-only\n",
-                  Emitted.Error.c_str());
-      return 0;
-    }
-    std::string BuildErr;
-    KernelFn Fn = buildNativeKernel(Emitted.Code, BuildErr,
-                                    /*OpenMP=*/Opts.Threads > 1,
-                                    "hac_module");
-    if (!Fn) {
-      std::fprintf(stderr, "hacc: selfcheck: %s\n", BuildErr.c_str());
-      return 1;
-    }
-    DoubleArray Native(M->result().Array.Dims);
-    int Rc = Fn(Native.data(), nullptr);
-    if (Rc != 0) {
-      std::fprintf(stderr, "hacc: selfcheck: native module failed (rc=%d)\n",
-                   Rc);
-      return 1;
-    }
-    double Diff = DoubleArray::maxAbsDiff(Out, Native);
-    if (Diff > 0.0) {
-      std::fprintf(stderr,
-                   "hacc: selfcheck: evaluator and compiled C diverge "
-                   "(max |diff| = %g)\n",
-                   Diff);
-      return 1;
-    }
-    std::printf("selfcheck: evaluator and compiled C agree on %zu "
-                "elements\n",
-                Out.size());
-    return 0;
-  }
-
-  if (!Opts.quiet()) {
-    std::printf("result: %zu elements; first = %g, last = %g\n", Out.size(),
-                Out.size() ? Out[0] : 0.0,
-                Out.size() ? Out[Out.size() - 1] : 0.0);
-    if (M->Thunkless)
-      std::printf("module: arrays=%u buffers-reused=%u peak=%zu B "
-                  "(no-reuse %zu B)\n",
-                  Stats.Arrays, Stats.BuffersReused, Stats.PeakBytes,
-                  Stats.NoReusePeakBytes);
-  }
-  if (!Opts.JsonPath.empty())
-    return writeTelemetry(Opts, "module", M->Thunkless, M->FallbackReason,
-                          ModuleAnalysis,
-                          M->Thunkless ? &Exec.stats() : nullptr);
+  else if (P.thunkless())
+    std::printf("module: arrays=%u buffers-reused=%u peak=%zu B "
+                "(no-reuse %zu B)\n",
+                Stats.Arrays, Stats.BuffersReused, Stats.PeakBytes,
+                Stats.NoReusePeakBytes);
   return 0;
 }
 
@@ -1073,10 +781,6 @@ int main(int Argc, char **Argv) {
     }
     else if (std::strcmp(Argv[I], "-selfcheck") == 0)
       Opts.SelfCheck = true;
-    else if (std::strcmp(Argv[I], "-u") == 0)
-      Opts.Update = true;
-    else if (std::strcmp(Argv[I], "-accum") == 0)
-      Opts.Accum = true;
     else if (std::strcmp(Argv[I], "-trace") == 0)
       Opts.TraceTree = true;
     else if (std::strcmp(Argv[I], "-profile") == 0)
@@ -1181,10 +885,18 @@ int main(int Argc, char **Argv) {
   if (Opts.Inject != lir::PlanVerifyOptions::Inject::None && !Opts.Analyze)
     std::fprintf(stderr, "hacc: warning: -Xverify-inject only corrupts the "
                          "-analyze pipeline; ignored in this mode\n");
+  if (Opts.JsonPath == "-" && (Opts.EmitCOnly || Opts.DumpLIR ||
+                               Opts.DumpDeps || Opts.DumpModule ||
+                               Opts.SelfCheck)) {
+    std::fprintf(stderr, "hacc: -json - would share stdout with the "
+                         "-emit-c/-dump-lir/-dump-deps/-dump-module/"
+                         "-selfcheck output; write the JSON to a file\n");
+    return 1;
+  }
   if (Opts.Path.empty()) {
     std::fprintf(stderr,
                  "usage: hacc [-report | -analyze | -emit-c | -dump-lir] "
-                 "[-selfcheck] [-u | -accum] [-j N] "
+                 "[-selfcheck] [-j N] "
                  "[-trace] [-json FILE] [-sarif FILE] [-Werror] "
                  "[-Wno-hacNNN] FILE\n"
                  "  -report      print the analysis report only\n"
@@ -1201,7 +913,7 @@ int main(int Argc, char **Argv) {
                  "  -dump-lir    print the unified Loop IR before and after "
                  "the optimization passes\n"
                  "  -dump-module print the inter-array DAG, topological "
-                 "schedule, and buffer plan of a multi-array program\n"
+                 "schedule, and buffer plan of a module\n"
                  "  -dump-deps   print the dependence graph per array: "
                  "edges with direction/distance vectors, the deciding "
                  "analysis tier, and exactness (composes with -analyze, "
@@ -1222,15 +934,17 @@ int main(int Argc, char **Argv) {
                  "cache under HAC_JIT_CACHE (default ~/.cache/hacc/"
                  "kernels, HAC_JIT_CACHE_MB cap); HAC_JIT sets the "
                  "default mode\n"
-                 "  -u           treat the program as a bigupd update\n"
-                 "  -accum       treat the program as accumArray\n"
                  "  -trace       print phase timings + counters to stderr\n"
                  "  -json FILE   write compile+run telemetry as JSON "
-                 "(\"-\" = stdout)\n"
+                 "(\"-\" = stdout, except with -emit-c, -dump-lir, "
+                 "-dump-deps, -dump-module or -selfcheck)\n"
                  "  -profile     print the ranked hot-loop table (source "
                  "lines, par classes, HAC008 witnesses) to stderr\n"
                  "  -timeline FILE  write a Chrome trace-event timeline "
                  "(chrome://tracing / Perfetto; \"-\" = stdout)\n"
+                 "The program's kind (array, accumArray, bigupd update, "
+                 "or module) is read from its syntax; an update runs on a "
+                 "deterministic start array. "
                  "FILE may be \"-\" for stdin; HAC_TRACE=1 in the "
                  "environment implies -trace, HAC_PROFILE=1 implies "
                  "-profile's stderr table.\n");
@@ -1263,15 +977,19 @@ int main(int Argc, char **Argv) {
     Opts.Threads = par::ThreadPool::defaultThreads();
 
   std::string Source = readAll(Opts.Path);
-  int RC;
-  if (Opts.Update)
-    RC = runUpdate(Opts, Source);
-  else if (!Opts.Accum && (Opts.DumpModule || looksLikeModule(Source)))
-    // Programs whose letrec* binds several arrays route to the module
-    // pipeline (inter-array DAG, per-binding compilation, buffer reuse).
-    RC = runModule(Opts, Source);
-  else
-    RC = runArray(Opts, Source);
+  // A parse error is reported by the compile, through the same failure
+  // path as every other compile error.
+  DiagnosticEngine ParseDiags;
+  Outcome Out;
+  Out.Kind = classifyProgram(Source, ParseDiags).value_or(ProgramKind::Array);
+  // -dump-module shows a single-array program as a one-binding module.
+  if (Opts.DumpModule && Out.Kind == ProgramKind::Array)
+    Out.Kind = ProgramKind::Module;
+  ProgramCompiler P(Out.Kind, compileOptions(Opts));
+  int RC = runProgram(Opts, P, Source, Out);
+  if (!Opts.JsonPath.empty())
+    if (int JsonRC = writeTelemetry(Opts, Out))
+      RC = JsonRC;
 
   if (Opts.TraceTree) {
     std::cerr << "=== trace ===\n";

@@ -5,7 +5,6 @@
 #include "ast/ASTUtils.h"
 #include "core/InterpBridge.h"
 #include "core/PipelineStages.h"
-#include "frontend/Parser.h"
 #include "interp/Interp.h"
 #include "runtime/BufferPool.h"
 #include "support/Casting.h"
@@ -271,24 +270,6 @@ ModuleCompiler::compileModule(const std::string &Source) {
                                   ? "module thunkless"
                                   : "module fallback: " + M.FallbackReason);
   return M;
-}
-
-bool hac::looksLikeModule(const std::string &Source) {
-  DiagnosticEngine Scratch;
-  ExprPtr Ast = parseString(Source, Scratch);
-  if (!Ast)
-    return false;
-  ParamEnv Params;
-  std::vector<std::string> InputNames;
-  const Expr *E = stages::stripOuterLets(Ast.get(), Params, InputNames);
-  const auto *L = dyn_cast<LetExpr>(E);
-  if (!L)
-    return false;
-  unsigned Arrays = 0;
-  for (const LetBind &B : L->binds())
-    if (isa<MakeArrayExpr>(B.Value.get()))
-      ++Arrays;
-  return Arrays >= 2;
 }
 
 std::string BufferPlan::str(const std::vector<ModuleBinding> &Bindings) const {

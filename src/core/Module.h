@@ -117,10 +117,6 @@ private:
   DiagnosticEngine Diags;
 };
 
-/// True when \p Source parses and its target letrec binds two or more
-/// arrays — the hacc driver routes such programs to the ModuleCompiler.
-bool looksLikeModule(const std::string &Source);
-
 /// What one module run did (mirrored onto the trace counters
 /// `module.arrays`, `module.buffers_reused`, `module.peak_bytes`).
 struct ModuleRunStats {

@@ -39,15 +39,16 @@ const Expr *stages::stripOuterLets(const Expr *E, ParamEnv &Params,
     const auto *L = dyn_cast<LetExpr>(E);
     if (!L)
       return E;
-    // Stop at the defining letrec/letrec* whose binding is the array.
-    if (L->letKind() != LetKindEnum::Plain) {
-      bool IsTarget = false;
-      for (const LetBind &B : L->binds())
-        IsTarget |= isa<MakeArrayExpr>(B.Value.get()) ||
-                    isa<AccumArrayExpr>(B.Value.get());
-      if (IsTarget)
-        return E;
-    }
+    // Stop at the defining let: a letrec/letrec* whose binding is the
+    // array, or any let binding a bigupd (`let b = bigupd a ... in b`).
+    bool IsTarget = false;
+    for (const LetBind &B : L->binds())
+      IsTarget |= isa<BigUpdExpr>(B.Value.get()) ||
+                  (L->letKind() != LetKindEnum::Plain &&
+                   (isa<MakeArrayExpr>(B.Value.get()) ||
+                    isa<AccumArrayExpr>(B.Value.get())));
+    if (IsTarget)
+      return E;
     for (const LetBind &B : L->binds()) {
       int64_t V;
       if (tryEvalConstInt(B.Value.get(), Params, V))

@@ -49,8 +49,9 @@ ExprPtr parse(StageContext &Ctx, const std::string &Source);
 
 /// Peels outer `let` wrappers: constant integer bindings extend
 /// \p Params; other plain-let bindings are recorded as expected runtime
-/// inputs. Returns the first non-let expression (or the defining
-/// letrec whose bindings include an array/accumArray construction).
+/// inputs. Returns the first non-let expression, or the defining let:
+/// a letrec whose bindings include an array/accumArray construction, or
+/// any let binding a bigupd.
 const Expr *stripOuterLets(const Expr *E, ParamEnv &Params,
                            std::vector<std::string> &InputNames);
 

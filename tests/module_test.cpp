@@ -6,18 +6,24 @@
 // the lazy interpreter at 1 and 8 threads, the staged-pipeline report
 // goldens (the four compile* entry points must produce byte-identical
 // reports after the PipelineStages refactor), the Executor's bounded LIR
-// plan cache, and HAC_THREADS parsing.
+// plan cache, HAC_THREADS parsing, and the driver's program-kind
+// classifier over every example program.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/Compiler.h"
 #include "core/InterpBridge.h"
 #include "core/Module.h"
+#include "driver/Driver.h"
 #include "parallel/ThreadPool.h"
 #include "runtime/Executor.h"
 
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <gtest/gtest.h>
+#include <map>
+#include <sstream>
 
 using namespace hac;
 
@@ -164,13 +170,126 @@ TEST(ModuleTest, ReuseAndNoReuseProduceIdenticalResults) {
   EXPECT_EQ(RS.Arrays, 4u);
 }
 
-TEST(ModuleTest, LooksLikeModuleDetection) {
-  EXPECT_TRUE(looksLikeModule(kPipeline4));
-  EXPECT_TRUE(looksLikeModule(kCycle));
-  EXPECT_FALSE(looksLikeModule(
-      "let n = 4 in letrec* a = array (1,n) "
-      "[ i := 1.0 | i <- [1..n] ] in a"));
-  EXPECT_FALSE(looksLikeModule("not a program at all"));
+std::optional<ProgramKind> classify(const std::string &Source) {
+  DiagnosticEngine Diags;
+  return classifyProgram(Source, Diags);
+}
+
+TEST(ClassifyTest, ModulesNeedTwoArrayBindings) {
+  EXPECT_EQ(classify(kPipeline4), ProgramKind::Module);
+  EXPECT_EQ(classify(kCycle), ProgramKind::Module);
+  // A one-binding letrec* is a plain construction.
+  EXPECT_EQ(classify("let n = 4 in letrec* a = array (1,n) "
+                     "[ i := 1.0 | i <- [1..n] ] in a"),
+            ProgramKind::Array);
+  // Parses as an application; compileArray diagnoses the missing array.
+  EXPECT_EQ(classify("not a program at all"), ProgramKind::Array);
+}
+
+TEST(ClassifyTest, UpdateAndAccumForms) {
+  const char *LetBound = "let n = 4 in\n"
+                         "let b = bigupd a [ i := a!(i-1) | i <- [2..n] ]\n"
+                         "in b\n";
+  EXPECT_EQ(classify(LetBound), ProgramKind::Update);
+  ProgramCompiler Upd(ProgramKind::Update);
+  ASSERT_TRUE(Upd.compile(LetBound)) << Upd.diags().str();
+  EXPECT_TRUE(Upd.thunkless()) << Upd.fallbackReason();
+
+  const char *BareAccum =
+      "let n = 4 in\n"
+      "accumArray (\\acc v . acc + v) 0 (1,n) [ i := 1.0 | i <- [1..n] ]\n";
+  EXPECT_EQ(classify(BareAccum), ProgramKind::Accum);
+  ProgramCompiler Acc(ProgramKind::Accum);
+  ASSERT_TRUE(Acc.compile(BareAccum)) << Acc.diags().str();
+  EXPECT_TRUE(Acc.thunkless()) << Acc.fallbackReason();
+}
+
+TEST(ClassifyTest, CommentsDoNotChangeTheKind) {
+  // A text search for "bigupd" or "accumArray" misroutes this program.
+  EXPECT_EQ(classify("-- not a bigupd, nor an accumArray\n"
+                     "letrec* a = array (1,4) [ i := 1.0 | i <- [1..4] ] "
+                     "in a\n"),
+            ProgramKind::Array);
+}
+
+TEST(ClassifyTest, ParseErrorsReturnDiagnostics) {
+  DiagnosticEngine Diags;
+  EXPECT_FALSE(classifyProgram("letrec* a = array (1,4) [ i := | i <- "
+                               "[1..4] ] in a",
+                               Diags)
+                   .has_value());
+  EXPECT_TRUE(Diags.hasErrors());
+}
+
+TEST(ClassifyTest, EveryExampleProgram) {
+  const std::map<std::string, ProgramKind> Expected = {
+      {"backward_inner.hac", ProgramKind::Array},
+      {"coupled_scatter.hac", ProgramKind::Accum},
+      {"histogram.hac", ProgramKind::Accum},
+      {"jacobi_step.hac", ProgramKind::Update},
+      {"rowswap.hac", ProgramKind::Update},
+      {"sec5_example1.hac", ProgramKind::Array},
+      {"wavefront.hac", ProgramKind::Array},
+      {"bad/hac001_neg.hac", ProgramKind::Array},
+      {"bad/hac001_pos.hac", ProgramKind::Array},
+      {"bad/hac002_neg.hac", ProgramKind::Array},
+      {"bad/hac002_pos.hac", ProgramKind::Array},
+      {"bad/hac003_neg.hac", ProgramKind::Array},
+      {"bad/hac003_pos.hac", ProgramKind::Array},
+      {"bad/hac004_neg.hac", ProgramKind::Array},
+      {"bad/hac004_pos.hac", ProgramKind::Array},
+      {"bad/hac005_neg.hac", ProgramKind::Array},
+      {"bad/hac005_pos.hac", ProgramKind::Array},
+      {"bad/hac006_neg.hac", ProgramKind::Array},
+      {"bad/hac006_pos.hac", ProgramKind::Array},
+      {"bad/hac007_neg.hac", ProgramKind::Array},
+      {"bad/hac007_pos.hac", ProgramKind::Array},
+      {"bad/hac009_pos.hac", ProgramKind::Array},
+      {"bad/hac010_pos.hac", ProgramKind::Update},
+      {"bad/hac011_pos.hac", ProgramKind::Update},
+      {"bad/hac012_pos.hac", ProgramKind::Update},
+      {"bad/hac013_pos.hac", ProgramKind::Accum},
+      {"bad/hac014_pos.hac", ProgramKind::Accum},
+      {"multi/cycle.hac", ProgramKind::Module},
+      {"multi/pipeline4.hac", ProgramKind::Module},
+      {"multi/smooth_residual.hac", ProgramKind::Module},
+  };
+  namespace fs = std::filesystem;
+  const fs::path Root(HAC_EXAMPLES_DIR);
+  size_t Seen = 0;
+  for (const auto &Entry : fs::recursive_directory_iterator(Root)) {
+    if (Entry.path().extension() != ".hac")
+      continue;
+    const std::string Rel = fs::relative(Entry.path(), Root).string();
+    auto It = Expected.find(Rel);
+    ASSERT_NE(It, Expected.end()) << "no expected kind for " << Rel;
+    std::ifstream In(Entry.path());
+    std::stringstream Source;
+    Source << In.rdbuf();
+    EXPECT_EQ(classify(Source.str()), It->second) << Rel;
+    ++Seen;
+  }
+  EXPECT_EQ(Seen, Expected.size());
+}
+
+TEST(ClassifyTest, UpdatesRunOnTheDeterministicStartArray) {
+  ProgramCompiler P(ProgramKind::Update);
+  ASSERT_TRUE(P.compile("let n = 3 in\n"
+                        "bigupd m ([ (1,j) := m!(2,j) | j <- [1..n] ] ++\n"
+                        "          [ (2,j) := m!(1,j) | j <- [1..n] ])\n"))
+      << P.diags().str();
+  ASSERT_TRUE(P.thunkless()) << P.fallbackReason();
+  // Start: 1 + 0.25 * (k mod 7) over the 2x3 shape the subscripts cover.
+  DoubleArray Start = P.startState();
+  ASSERT_EQ(Start.size(), 6u);
+  EXPECT_EQ(Start[5], 2.25);
+  Executor Exec(P.params());
+  DoubleArray Out;
+  std::string Err;
+  ASSERT_TRUE(P.run(Exec, Out, Err)) << Err;
+  const double Swapped[] = {1.75, 2.0, 2.25, 1.0, 1.25, 1.5};
+  for (size_t I = 0; I != 6; ++I)
+    EXPECT_EQ(Out[I], Swapped[I]) << I;
 }
 
 TEST(ModuleTest, StructuralErrorsAreDiagnosed) {

@@ -17,8 +17,10 @@
 // Every compiled program also runs at 1, 2, 4 and 8 threads, and once
 // with the LIR passes off: those results and ExecStats must match the
 // 1-thread run bit for bit. Every 8th program also runs as a native
-// kernel (JIT sync mode, private cache) at 1 and 4 threads, so the
-// optimized LIR's C rendering is checked against the evaluator too.
+// kernel at 1 and 4 threads against a private cache: first in JIT async
+// mode (one run interpreting while cc works, one after the hot swap),
+// then in sync mode on the same kernel, so the optimized LIR's C
+// rendering and the tier swap are checked against the evaluator too.
 //
 //===----------------------------------------------------------------------===//
 
@@ -87,10 +89,10 @@ struct KernelCacheDir {
 };
 
 /// Runs \p Eval with non-validating executors at 1, 2, 4 and 8 threads
-/// and with the LIR passes off; every 8th program also runs as a native
-/// kernel at 1 and 4 threads. Each run must agree with the interpreter's
-/// \p Ref and reproduce the 1-thread result bits and every ExecStats
-/// field.
+/// and with the LIR passes off; every 8th program also runs as an async
+/// and a sync native kernel at 1 and 4 threads. Each run must agree with
+/// the interpreter's \p Ref and reproduce the 1-thread result bits and
+/// every ExecStats field.
 void checkAcrossThreads(const ParamEnv &Params, const EvalFn &Eval,
                         const DoubleArray &Ref, const std::string &Source) {
   static unsigned Programs = 0;
@@ -126,13 +128,31 @@ void checkAcrossThreads(const ParamEnv &Params, const EvalFn &Eval,
   static KernelCacheDir Cache;
   jit::JitCompiler JC({Cache.Dir.string(), 256ull << 20});
   for (unsigned Threads : {1u, 4u}) {
+    const std::string Where = std::to_string(Threads) + " threads\n" + Source;
+    // Async first, against a cache that has not seen this kernel: the
+    // first run interprets while cc works, the second runs the kernel
+    // swapped in once the compiler is idle.
+    Executor Async(Params);
+    Async.setNumThreads(Threads);
+    Async.setJitMode(jit::JitMode::Async);
+    Async.setJitCompiler(&JC);
+    Check(Async, "async kernel, first run, " + Where);
+    JC.waitIdle();
+    Async.resetStats();
+    Check(Async, "async kernel, after the swap, " + Where);
+    EXPECT_GE(Async.jitStats().NativeRuns, 1u) << Source;
+    EXPECT_EQ(Async.jitStats().NativeRuns + Async.jitStats().InterpRuns, 2u)
+        << Source;
+
+    // The sync leg reuses the async leg's kernel: no second cc run.
+    const uint64_t Compiles = JC.stats().Compiles;
     Executor Jitted(Params);
     Jitted.setNumThreads(Threads);
     Jitted.setJitMode(jit::JitMode::Sync);
     Jitted.setJitCompiler(&JC);
-    Check(Jitted, "native kernel, " + std::to_string(Threads) +
-                      " threads\n" + Source);
+    Check(Jitted, "native kernel, " + Where);
     EXPECT_EQ(Jitted.jitStats().NativeRuns, 1u) << Source;
+    EXPECT_EQ(JC.stats().Compiles, Compiles) << Source;
   }
 }
 
