@@ -37,7 +37,8 @@ struct Problem {
     AffineForm F, G;
     for (unsigned K = 0; K != Depth; ++K) {
       Loops.push_back(std::make_unique<LoopNode>(
-          K, "i" + std::to_string(K), LoopBounds{1, M, 1}, K));
+          K, std::string("i").append(std::to_string(K)),
+          LoopBounds{1, M, 1}, K));
       P.SharedLoops.push_back(Loops.back().get());
       // f = sum 3*x_k, g = sum 3*y_k + 1: dependence impossible (gcd 3
       // does not divide 1) but only after looking at all terms; and a
@@ -69,7 +70,8 @@ struct HardExactProblem {
     AffineForm F1, G1, F2, G2;
     for (unsigned K = 0; K != Depth; ++K) {
       Loops.push_back(std::make_unique<LoopNode>(
-          K, "i" + std::to_string(K), LoopBounds{1, M, 1}, K));
+          K, std::string("i").append(std::to_string(K)),
+          LoopBounds{1, M, 1}, K));
       P.SharedLoops.push_back(Loops.back().get());
       F1.Coeffs[Loops.back().get()] = 2;
       G1.Coeffs[Loops.back().get()] = 1;

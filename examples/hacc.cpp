@@ -192,7 +192,6 @@ CompileOptions compileOptions(const DriverOptions &Opts) {
   CompileOptions CO;
   if (Opts.verifyLIROn() && !Opts.Analyze) {
     CO.VerifyLIR = true;
-    CO.VerifyLIRThreads = Opts.Threads;
   }
   if (Opts.DepBudget >= 0)
     CO.OmegaBudget = static_cast<uint64_t>(Opts.DepBudget);
@@ -229,7 +228,6 @@ int runAnalyze(const DriverOptions &Opts, ProgramCompiler &P,
     Verifier V(Diags);
     if (Opts.verifyLIROn()) {
       LIRVerifyOptions LO;
-      LO.Threads = Opts.Threads;
       LO.Inject = Opts.Inject;
       V.enableLIRVerify(LO);
     }
@@ -437,9 +435,10 @@ int writeTelemetry(const DriverOptions &Opts, const Outcome &Out) {
 /// -dump-lir: prints the lowered program before the optimization passes
 /// and the Executor's own pipeline output after them (lir::buildProgram),
 /// then runs the verifier. The "before" dump shows the planner's par=
-/// loop annotations; the "after" dump shows what the chosen thread count
-/// actually executes (flags stripped when serial, legalized when
-/// parallel). Returns the process exit code.
+/// loop annotations; the "after" dump shows the legalized ones. The
+/// program is the same at every thread count (a pool runs the par=
+/// loops, one thread ignores them); only the jit kernel section depends
+/// on \p Threads. Returns the process exit code.
 int dumpLIR(const ProgramPart &Part, unsigned Threads, jit::JitMode JitM) {
   const ExecPlan &Plan = *Part.Plan;
   const ParamEnv &Params = *Part.Params;
@@ -453,9 +452,7 @@ int dumpLIR(const ProgramPart &Part, unsigned Threads, jit::JitMode JitM) {
   }
   std::printf("=== LIR for '%s' (before passes) ===\n%s", Part.Name->c_str(),
               lir::printLIR(P).c_str());
-  lir::PipelineOptions PO;
-  PO.Threads = Threads;
-  if (!lir::buildProgram(Plan, Plan.Dims, Params, {}, PO, P, SealErr)) {
+  if (!lir::buildProgram(Plan, Plan.Dims, Params, {}, {}, P, SealErr)) {
     std::fprintf(stderr, "hacc: %s\n", SealErr.c_str());
     return 1;
   }

@@ -82,9 +82,12 @@ struct CEmitResult {
 /// leaves parallel: DOALL loops become `#pragma omp parallel for` over a
 /// canonical 0-based counter, and wavefront pairs become an explicit
 /// anti-diagonal front loop whose per-front cell loop carries the
-/// pragma, with OpenMP pinned to \p Threads. The pragmas are ignored by
-/// compilers without OpenMP support, and the parallel code computes the
-/// same values in either case.
+/// pragma, with OpenMP pinned to \p Threads. Each iteration or cell
+/// re-seeds the loop's carried slots (lir::carriedSlots) from copies
+/// saved before the construct. The pragmas are ignored by compilers
+/// without OpenMP support, and the parallel code computes the same
+/// values in either case; with \p Threads <= 1 the kernel is the plain
+/// serial rendering.
 CEmitResult emitC(const ExecPlan &Plan, const std::string &FunctionName,
                   const ParamEnv &Params,
                   const std::map<std::string, ArrayDims> &InputDims = {},

@@ -71,11 +71,11 @@ struct CompileOptions {
   bool ValidateReads = false;
   /// When true, every compiled plan is re-lowered to LIR and checked by
   /// the abstract interpreter (translation validation of dropped checks,
-  /// HAC009; static race checking of par-flagged loops, HAC010/HAC011)
-  /// at \p VerifyLIRThreads workers. Findings surface through the
-  /// compiler's DiagnosticEngine. Off by default — `hacc -analyze` and
-  /// `-verify-lir` turn it on.
+  /// HAC009; static race checking of par-flagged loops, HAC010/HAC011).
+  /// Findings surface through the compiler's DiagnosticEngine. Off by
+  /// default — `hacc -analyze` and `-verify-lir` turn it on.
   bool VerifyLIR = false;
+  /// Unread (one program serves every thread count); kept for callers.
   unsigned VerifyLIRThreads = 1;
 };
 

@@ -39,14 +39,13 @@ const Expr *stages::stripOuterLets(const Expr *E, ParamEnv &Params,
     const auto *L = dyn_cast<LetExpr>(E);
     if (!L)
       return E;
-    // Stop at the defining let: a letrec/letrec* whose binding is the
-    // array, or any let binding a bigupd (`let b = bigupd a ... in b`).
+    // Stop at the defining let of any kind: `let a = array ... in a`
+    // defines `a` as `letrec*` does, `let b = bigupd a ... in b` `b`.
     bool IsTarget = false;
     for (const LetBind &B : L->binds())
       IsTarget |= isa<BigUpdExpr>(B.Value.get()) ||
-                  (L->letKind() != LetKindEnum::Plain &&
-                   (isa<MakeArrayExpr>(B.Value.get()) ||
-                    isa<AccumArrayExpr>(B.Value.get())));
+                  isa<MakeArrayExpr>(B.Value.get()) ||
+                  isa<AccumArrayExpr>(B.Value.get());
     if (IsTarget)
       return E;
     for (const LetBind &B : L->binds()) {
@@ -187,17 +186,15 @@ void stages::planAndFinish(StageContext &Ctx, ExecPlan &Plan,
     // Re-lower the plan to LIR and run the abstract interpreter over it:
     // translation validation of the checks the plan dropped (HAC009) and
     // static race checking of whatever the parallel planner flagged
-    // (HAC010/HAC011), replicated at the configured worker count.
+    // and legalizePar kept (HAC010/HAC011).
     // Update plans carry no static dims; the shape estimate (the same
     // one the profiler uses) gates validation there.
     ArrayDims VerifyDims = Dims;
     if (!VerifyDims.empty() ||
         estimateUpdateDims(Plan, Params, VerifyDims)) {
       HAC_TRACE_SPAN(Span, "verify-lir");
-      lir::PlanVerifyOptions VO;
-      VO.Threads = Ctx.Options.VerifyLIRThreads;
       lir::PlanVerifyResult R =
-          lir::verifyPlanLIR(Plan, VerifyDims, Params, VO);
+          lir::verifyPlanLIR(Plan, VerifyDims, Params, {});
       lir::reportLIRFindings(R, Ctx.Diags);
     }
   }

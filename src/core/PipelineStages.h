@@ -50,8 +50,8 @@ ExprPtr parse(StageContext &Ctx, const std::string &Source);
 /// Peels outer `let` wrappers: constant integer bindings extend
 /// \p Params; other plain-let bindings are recorded as expected runtime
 /// inputs. Returns the first non-let expression, or the defining let:
-/// a letrec whose bindings include an array/accumArray construction, or
-/// any let binding a bigupd.
+/// any let, letrec or letrec* whose bindings include an array,
+/// accumArray or bigupd (so `let a = array … in a` defines `a`).
 const Expr *stripOuterLets(const Expr *E, ParamEnv &Params,
                            std::vector<std::string> &InputNames);
 

@@ -58,10 +58,10 @@ std::shared_ptr<KernelEntry> JitCompiler::acquire(
     const lir::LIRProgram &EvalProg, unsigned Threads, bool Async,
     par::ThreadPool *Pool) {
   // Copy synchronously — the evaluator's cached program can be evicted
-  // while a background compile is still reading. Parallel programs get
-  // the stricter C legality pass (rendered checks may not sit inside an
-  // OpenMP region); it is idempotent over the eval legalization and
-  // demotion is monotone, so re-running on the copy is safe.
+  // while a background compile is still reading. A serial kernel drops
+  // the par flags; a parallel one gets the stricter C legality pass
+  // (rendered checks may not sit inside an OpenMP region), which is
+  // idempotent over the eval legalization since demotion is monotone.
   auto Prog = std::make_shared<lir::LIRProgram>(EvalProg);
   const unsigned PinThreads = lir::legalizeKernel(*Prog, Threads);
   const bool OpenMP = PinThreads && *detectedOmpFlag() != '\0';

@@ -124,11 +124,11 @@ const char *opName(LOp Op);
 
 enum : uint8_t {
   FlagBackward = 1u << 1, ///< LoopBegin/LoopEnd: ordinal runs Trip..1
-  /// LoopBegin/LoopEnd parallel classes from the ParPlanner. Backends
-  /// strip these (stripParFlags) when running single-threaded, and the
-  /// legality pass (legalizePar) demotes any loop whose lowered body
-  /// turned out to contain a construct the parallel runtime cannot
-  /// execute concurrently (rings, defined-bitmap checks, ...).
+  /// LoopBegin/LoopEnd parallel classes from the ParPlanner. The passes
+  /// and the serial evaluator ignore them; the legality pass
+  /// (legalizePar) demotes any loop whose lowered body turned out to
+  /// contain a construct the parallel runtime cannot execute concurrently
+  /// (rings, defined-bitmap checks, ...).
   FlagParDoall = 1u << 2,     ///< iterations are independent
   FlagParWaveOuter = 1u << 3, ///< outer loop of a wavefront pair
   FlagParWaveInner = 1u << 4, ///< inner loop of a wavefront pair

@@ -612,50 +612,20 @@ struct Engine {
     }
   }
 
-  /// Recognizes strength reduction's carried slots as derived induction
-  /// variables: a slot whose only definition in the region is a
-  /// top-level self-increment `AddImmI X = X + d` advances by d per
+  /// Recognizes the loop's carried slots (lir::carriedSlots) as derived
+  /// induction variables: a slot whose only definition in the region is
+  /// a top-level self-increment `AddImmI X = X + d` advances by d per
   /// iteration, with hull and affine form derived from its preheader
   /// value.
   void collectDerived(Frame &F, size_t B, size_t E) {
-    struct Cand {
-      size_t Idx;
-      int64_t Delta;
-    };
-    std::vector<std::pair<int32_t, Cand>> Cands;
-    int D = 0;
-    for (size_t I = B + 1; I < E; ++I) {
-      const LInst &In = P.Code[I];
-      if (isBegin(In.Op)) {
-        ++D;
-        continue;
-      }
-      if (isEnd(In.Op)) {
-        --D;
-        continue;
-      }
-      if (D == 0 && In.Op == LOp::AddImmI && In.A == In.B && In.A != F.Iv &&
-          In.A != F.Ord && In.Imm0 != 0)
-        Cands.push_back({In.A, {I, In.Imm0}});
-    }
-    for (const auto &C : Cands) {
-      bool Sole = true;
-      for (size_t I = B + 1; I < E && Sole; ++I) {
-        if (I == C.second.Idx)
-          continue;
-        int32_t W[2];
-        int N = writtenSlots(P.Code[I], W);
-        for (int K = 0; K != N; ++K)
-          if (W[K] == C.first)
-            Sole = false;
-      }
-      if (!Sole || !intSlot(C.first))
+    for (const auto &[Slot, Delta] : carriedSlots(P, B, E)) {
+      if (!intSlot(Slot))
         continue;
       Derived Dv;
-      Dv.Slot = C.first;
-      Dv.Delta = C.second.Delta;
-      Dv.EntryVal = S.V[C.first];
-      Dv.EntryLin = S.L[C.first];
+      Dv.Slot = Slot;
+      Dv.Delta = Delta;
+      Dv.EntryVal = S.V[Slot];
+      Dv.EntryLin = S.L[Slot];
       __int128 Span = static_cast<__int128>(F.Trip - 1) * Dv.Delta;
       if (fits(Span)) {
         int64_t Sp = static_cast<int64_t>(Span);
@@ -1459,8 +1429,6 @@ PlanVerifyResult lir::verifyPlanLIR(const ExecPlan &Plan,
                            /*AssumeTargetShape=*/true, /*ValidateReads=*/true);
   bool InjectPar = Opts.InjectKind == PlanVerifyOptions::Inject::Doall ||
                    Opts.InjectKind == PlanVerifyOptions::Inject::Wave;
-  if (Opts.Threads <= 1 && !InjectPar)
-    stripParFlags(P);
   optimize(P);
   if (Opts.SecondChance)
     secondChance(P, &R.Eliminated);
@@ -1470,8 +1438,7 @@ PlanVerifyResult lir::verifyPlanLIR(const ExecPlan &Plan,
     R.Error = Err;
     return R;
   }
-  if (Opts.Threads > 1)
-    legalizePar(P, false);
+  legalizePar(P, false);
   if (InjectPar) {
     // Force the planner-bypassing flags the golden corpus asks for
     // (after legalization, so the legality pass cannot demote them).

@@ -31,6 +31,8 @@
 ///      write footprints provably overlap across iterations (DOALL,
 ///      HAC010) or across cells of one anti-diagonal front (wavefront,
 ///      HAC011) are reported independently of the ParPlanner's DepGraph.
+///      Carried slots (lir::carriedSlots) are derived induction
+///      variables, so strength-reduced addresses stay affine.
 ///   3. the second-chance eliminator: residual CheckIdx / CheckNonZeroI
 ///      instructions whose incoming range is proven inside the checked
 ///      set *after* LICM and strength reduction are deleted, with one
@@ -159,12 +161,10 @@ struct SecondChanceNote {
 unsigned secondChance(LIRProgram &P,
                       std::vector<SecondChanceNote> *Notes = nullptr);
 
-/// verifyPlanLIR pipeline options.
+/// verifyPlanLIR pipeline options. There is no thread count: the
+/// Executor runs one program at every count, so the legalized par flags
+/// (and the race checks over them) are always the ones that execute.
 struct PlanVerifyOptions {
-  /// Worker count the verified pipeline targets: 1 replicates the serial
-  /// Executor pipeline (par flags stripped), > 1 the parallel one
-  /// (legalizePar runs, race checks apply).
-  unsigned Threads = 1;
   /// Run the second-chance eliminator inside the pipeline (mirrors the
   /// Executor default).
   bool SecondChance = true;
@@ -192,8 +192,8 @@ struct PlanVerifyResult {
 };
 
 /// Replicates the Executor's lowering pipeline on \p Plan (lower with
-/// read validation, strip-or-keep par flags per Threads, optimize,
-/// second-chance, seal, legalize) and runs the validator over the result.
+/// read validation, optimize, second-chance, seal, legalizePar) and runs
+/// the validator over the result.
 /// Input arrays are treated as unknown (their reads lower to guarded
 /// fails, exactly as a compile-time check must), so claims are only ever
 /// validated against the target's shape \p TargetDims.

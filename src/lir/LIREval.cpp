@@ -4,15 +4,18 @@
 // execution dispatches par-flagged loops to the thread pool:
 //
 //   DOALL      — the iteration space is split into contiguous chunks
-//                (at most threads*4 for stealing slack); every task
-//                copies the register file at loop entry, sets the
-//                induction slots per iteration, and runs the body span.
+//                (at most threads*4 for load-balancing slack); every
+//                task copies the register file at loop entry, re-seeds
+//                the carried slots (lir::carriedSlots) for its first
+//                iteration, sets the induction slots per iteration, and
+//                runs the body span.
 //   wavefront  — anti-diagonal fronts f = o + i are executed in order
 //                with a barrier between fronts (ThreadPool::parallelFor
 //                is the barrier); cells within a front are independent
-//                by construction of the ParPlanner's distance test. The
-//                pure prelude between the outer and inner loop is
-//                re-evaluated per cell, which legalizePar proved safe.
+//                by construction of the ParPlanner's distance test. A
+//                cell re-seeds the outer carried slots, re-runs the
+//                prelude between the loops and advances the inner
+//                carried slots, which legalizePar proved safe.
 //
 // Error reporting stays deterministic across thread counts: each task
 // records the iteration coordinates of its first failure and the merge
@@ -27,6 +30,7 @@
 
 #include "lir/LIREval.h"
 
+#include "lir/LIRPasses.h"
 #include "support/ChromeTrace.h"
 
 #include <algorithm>
@@ -484,11 +488,14 @@ bool Machine::runDoall(size_t Begin, Reg *R, LocalCounters &C,
   };
   std::vector<TaskOut> Outs(static_cast<size_t>(NumChunks));
   const Reg *Entry = R;
+  const auto Carried = carriedSlots(P, Begin);
   Pool->parallelFor(static_cast<size_t>(NumChunks), [&](size_t T) {
     TaskOut &TO = Outs[T];
     std::vector<Reg> LR(Entry, Entry + P.NumSlots);
     const int64_t Lo = Trip * static_cast<int64_t>(T) / NumChunks;
     const int64_t Hi = Trip * static_cast<int64_t>(T + 1) / NumChunks;
+    for (const auto &[S, Step] : Carried)
+      LR[S].i = Entry[S].i + Step * Lo;
     ProfCtx TCtx;
     ProfCtx *TPF = nullptr;
     if (PF) {
@@ -583,41 +590,24 @@ bool Machine::runWave(size_t Begin, Reg *R, LocalCounters &C,
     ++IB;
   const LInst &In = P.Code[IB];
   const size_t IE = static_cast<size_t>(In.Jump);
-  const int64_t T1 = O.Imm2, T2 = In.Imm2;
+  const int64_t T1 = O.Imm2, T2 = In.Imm2; // legalizePar proved T2 >= 1
   if (T1 <= 0)
     return true;
-  // The pure prelude between the loop headers, executed once per outer
-  // iteration in the serial schedule but once per *cell* here.
+  // The serial schedule runs the prelude between the loop headers and
+  // the outer tail increments once per outer iteration; a cell re-runs
+  // the prelude and re-seeds the increments' slots instead.
   const uint64_t PreLen = static_cast<uint64_t>(IB - (Begin + 1));
+  const uint64_t TailLen = static_cast<uint64_t>(O.Jump) - (IE + 1);
+  uint64_t PreChecks = 0;
+  for (size_t I = Begin + 1; I != IB; ++I)
+    PreChecks += P.Code[I].Op == LOp::CheckIdx ||
+                 P.Code[I].Op == LOp::CheckNonZeroI;
+  const auto OuterCarried = carriedSlots(P, Begin);
+  const auto InnerCarried = carriedSlots(P, IB);
   const bool TL = timelineEnabled();
   ChromeTraceSink &TS = ChromeTraceSink::get();
   const uint64_t LoopT0 = TL ? TS.nowNs() : 0;
   const uint64_t WallT0 = PF ? profNowNs() : 0;
-  auto SetExit = [&] {
-    R[O.A].i = O.Imm0 + T1 * O.Imm1;
-    R[O.B].i = T1 + 1; // the planner only pairs forward loops
-    if (T2 > 0) {
-      R[In.A].i = In.Imm0 + T2 * In.Imm1;
-      R[In.B].i = T2 + 1;
-    }
-  };
-  if (T2 <= 0) {
-    // The body reduces to the pure, non-escaping prelude: no effect on
-    // state. The serial schedule would still have dispatched, per outer
-    // iteration, the prelude plus the inner Begin and outer End.
-    if (PF) {
-      PF->Instrs += static_cast<uint64_t>(T1) * (PreLen + 2);
-      if (O.Meta >= 0) {
-        LoopProfile &L = PF->Tab[O.Meta];
-        L.Entries += 1;
-        L.Trips += static_cast<uint64_t>(T1);
-        L.Instrs += 1 + static_cast<uint64_t>(T1) * (PreLen + 2);
-        L.Nanos += profNowNs() - WallT0;
-      }
-    }
-    SetExit();
-    return true;
-  }
 
   struct TaskOut {
     LocalCounters C;
@@ -663,15 +653,16 @@ bool Machine::runWave(size_t Begin, Reg *R, LocalCounters &C,
         const int64_t Ci = F - Co;
         LR[O.A].i = O.Imm0 + Co * O.Imm1;
         LR[O.B].i = Co + 1;
+        for (const auto &[S, Step] : OuterCarried)
+          LR[S].i = Entry[S].i + Step * Co;
         std::string E2;
-        // The pure prelude is re-evaluated per cell from loop-entry
-        // register state (legalizePar proved that safe). It is pure
-        // value code — no loops, checks, or counters — so it runs
-        // unprofiled: the serial schedule executes it once per outer
-        // iteration, not per cell, and the caller compensates with
-        // T1 * PreLen below.
-        if (!runSpan(Begin + 1, IB, LR.data(), TO.C, E2, false,
-                     nullptr)) {
+        // The prelude is re-evaluated per cell (legalizePar proved that
+        // safe). The serial schedule runs it once per outer iteration,
+        // so its counters count on the cell that starts the row, and it
+        // runs unprofiled: the caller compensates with T1 * PreLen below.
+        LocalCounters Discard;
+        if (!runSpan(Begin + 1, IB, LR.data(), Ci == 0 ? TO.C : Discard, E2,
+                     false, nullptr)) {
           TO.Msg = std::move(E2);
           TO.EO = Co;
           TO.EI = -1; // before any inner iteration of this cell
@@ -679,6 +670,8 @@ bool Machine::runWave(size_t Begin, Reg *R, LocalCounters &C,
         }
         LR[In.A].i = In.Imm0 + Ci * In.Imm1;
         LR[In.B].i = Ci + 1;
+        for (const auto &[S, Step] : InnerCarried)
+          LR[S].i += Step * Ci;
         if (!runSpan(IB + 1, IE, LR.data(), TO.C, E2, false, TPF)) {
           TO.Msg = std::move(E2);
           TO.EO = Co;
@@ -739,9 +732,12 @@ bool Machine::runWave(size_t Begin, Reg *R, LocalCounters &C,
       const uint64_t UT2 = static_cast<uint64_t>(T2);
       // Serial-equivalent dispatch compensation (the outer Begin was
       // tallied by the caller): per outer iteration the serial run
-      // executes the prelude (PreLen), the inner Begin, T2 inner Ends,
-      // and the outer End, plus every cell's inner-body instructions.
-      PF->Instrs += UT1 * PreLen + 2 * UT1 + UT1 * UT2 + CellBodySum;
+      // executes the prelude (PreLen, PreChecks of them checks), the
+      // inner Begin, T2 inner Ends, the tail and the outer End, plus
+      // every cell's inner-body instructions.
+      PF->Instrs +=
+          UT1 * (PreLen + TailLen) + 2 * UT1 + UT1 * UT2 + CellBodySum;
+      PF->Checks += UT1 * PreChecks;
       const uint64_t InnerIncl = CellBodySum + UT1 + UT1 * UT2;
       if (In.Meta >= 0) {
         LoopProfile &L = PF->Tab[In.Meta];
@@ -755,8 +751,8 @@ bool Machine::runWave(size_t Begin, Reg *R, LocalCounters &C,
         LoopProfile &L = PF->Tab[O.Meta];
         L.Entries += 1;
         L.Trips += UT1;
-        L.Instrs += 1 + UT1 * PreLen + UT1 + InnerIncl;
-        L.Checks += CellCheckSum;
+        L.Instrs += 1 + UT1 * (PreLen + TailLen) + UT1 + InnerIncl;
+        L.Checks += CellCheckSum + UT1 * PreChecks;
         L.Nanos += profNowNs() - WallT0;
       }
     } else {
@@ -767,7 +763,11 @@ bool Machine::runWave(size_t Begin, Reg *R, LocalCounters &C,
     Err = std::move(MinMsg);
     return false;
   }
-  SetExit();
+  // Serial exit state of the induction slots (cell files are private).
+  R[O.A].i = O.Imm0 + T1 * O.Imm1;
+  R[O.B].i = T1 + 1; // the planner only pairs forward loops
+  R[In.A].i = In.Imm0 + T2 * In.Imm1;
+  R[In.B].i = T2 + 1;
   return true;
 }
 

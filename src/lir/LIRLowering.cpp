@@ -1101,8 +1101,8 @@ private:
     LInst I;
     I.Op = LOp::LoopBegin;
     I.Flags = S.Backward ? FlagBackward : 0;
-    // Mirror the ParPlanner's decision; single-threaded backends strip
-    // these flags again (stripParFlags) before optimizing.
+    // Mirror the ParPlanner's decision; legalizePar audits it after the
+    // passes, and serial kernels strip it (stripParFlags).
     switch (S.Par) {
     case par::ParClass::Serial:
       break;

@@ -23,8 +23,8 @@
 #include "lir/LIRAbsint.h"
 #include "lir/LIRLowering.h"
 
+#include <algorithm>
 #include <optional>
-#include <set>
 #include <vector>
 
 using namespace hac;
@@ -255,13 +255,6 @@ size_t srLoop(LIRProgram &P, Region L, SlotCounts &SC, SlotSet &W) {
   const LInst Begin = P.Code[L.Begin];
   if (Begin.Op != LOp::LoopBegin)
     return 0;
-  // Parallel loops enter the iteration space at arbitrary chunk
-  // boundaries, which a carried slot (preheader init + tail increment)
-  // cannot survive; par-flagged loops opt out of strength reduction.
-  // Single-threaded backends strip the flags first, so the serial
-  // pipeline is unchanged.
-  if (Begin.Flags & ParFlagMask)
-    return 0;
   std::vector<size_t> Top = topLevelOf(P.Code, L);
   bool AnyCandidate = false;
   for (size_t I : Top) {
@@ -451,10 +444,7 @@ uint64_t checkHoistLoop(LIRProgram &P, Region L, SlotSet &W) {
   const LInst &B = P.Code[L.Begin];
   // Only loops that provably run at least once: hoisting a check out of
   // a zero-trip loop would surface an error the program never hits.
-  // The destination of a hoist out of a wavefront inner loop is the
-  // wavefront prelude, which must stay pure value computation (it is
-  // re-run per cell); keep checks inside instead.
-  if (B.Op != LOp::LoopBegin || B.Imm2 < 1 || (B.Flags & FlagParWaveInner))
+  if (B.Op != LOp::LoopBegin || B.Imm2 < 1)
     return 0;
   std::vector<size_t> Top = topLevelOf(P.Code, L);
   std::vector<char> Move(Top.size(), 0);
@@ -493,7 +483,7 @@ void checkHoistSweep(LIRProgram &P, SlotSet &W) {
 /// addimm/add/sub with a constant operand, sub of one base, and mulimm
 /// of a constant. Entering a region forgets every slot written inside it.
 ///
-/// At a serial static loop, the carried slots (`%x = addimm %x, d` at top
+/// At a static loop, the carried slots (`%x = addimm %x, d` at top
 /// level, the only definition of %x in the loop) whose entry values share
 /// a base and whose steps are equal form one induction: the leader gets
 /// a fresh event, each follower is `leader + c2 - c1` for the whole
@@ -607,11 +597,6 @@ class IvCoalescer {
 
   /// Forgets the loop's writes, then re-seeds its carried groups.
   void enterLoop(size_t B, const std::vector<int32_t> &Written) {
-    const LInst &Begin = P.Code[B];
-    if (Begin.Flags & ParFlagMask) {
-      forget(Written);
-      return;
-    }
     const size_t E = RM.Close[B];
     struct Carried {
       int32_t Slot;
@@ -620,48 +605,26 @@ class IvCoalescer {
       bool Pinned = false; ///< read by a non-address operand in the loop
     };
     std::vector<Carried> Cs;
-    {
-      std::vector<uint32_t> DefsIn(P.NumSlots, 0);
-      int32_t Buf[3];
-      int Depth = 0;
-      for (size_t I = B + 1; I < E; ++I) {
-        const LInst &In = P.Code[I];
-        int N = writtenSlots(In, Buf);
-        for (int K = 0; K != N; ++K)
-          ++DefsIn[Buf[K]];
-        if (isOpenOp(In.Op))
-          ++Depth;
-        else if (isCloseOp(In.Op))
-          --Depth;
-        else if (Depth == 0 && In.Op == LOp::AddImmI && In.A == In.B &&
-                 In.Imm0 != 0)
-          Cs.push_back({In.A, In.Imm0, Val[In.A]});
-      }
-      std::vector<Carried> Keep;
-      for (const Carried &C : Cs)
-        if (DefsIn[C.Slot] == 1)
-          Keep.push_back(C);
-      Cs = std::move(Keep);
-      if (Cs.empty()) {
-        forget(Written);
-        return;
-      }
-      // Reads that coalescing cannot redirect keep a slot alive anyway,
-      // so such a slot makes the cheapest leader.
-      for (size_t I = B + 1; I < E; ++I) {
-        const LInst &In = P.Code[I];
-        if (isPureValueOp(In.Op))
-          continue;
-        int N = readSlots(In, Buf);
-        for (int K = 0; K != N; ++K) {
-          if (hasDisplacement(In.Op) && K == 0)
-            continue; // the address operand
-          for (Carried &C : Cs)
-            C.Pinned |= C.Slot == Buf[K];
-        }
+    for (const auto &[Slot, Step] : carriedSlots(P, B, E))
+      Cs.push_back({Slot, Step, Val[Slot]});
+    forget(Written);
+    if (Cs.empty())
+      return;
+    // Reads that coalescing cannot redirect keep a slot alive anyway, so
+    // such a slot makes the cheapest leader.
+    int32_t Buf[3];
+    for (size_t I = B + 1; I < E; ++I) {
+      const LInst &In = P.Code[I];
+      if (isPureValueOp(In.Op))
+        continue;
+      int N = readSlots(In, Buf);
+      for (int K = 0; K != N; ++K) {
+        if (hasDisplacement(In.Op) && K == 0)
+          continue; // the address operand
+        for (Carried &C : Cs)
+          C.Pinned |= C.Slot == Buf[K];
       }
     }
-    forget(Written);
     std::vector<char> Done(Cs.size(), 0);
     for (size_t G = 0; G != Cs.size(); ++G) {
       if (Done[G])
@@ -817,8 +780,6 @@ int counterKind(LOp Op) {
 /// a static loop whose whole body cannot fail and runs at least once
 /// hands its top-level counters to its preheader as `Imm0 * trip`,
 /// innermost loops first. No failure point ever sees a different total.
-/// Wavefront inner loops keep their counters: their preheader is the
-/// pure wave prelude.
 class CounterFolder {
   const std::vector<LInst> &In;
   RegionMap RM;
@@ -888,7 +849,7 @@ class CounterFolder {
     }
     std::vector<LInst> Body;
     const bool Fails = seq(B + 1, E, Body, R);
-    if (!Fails && Begin.Imm2 >= 1 && !(Begin.Flags & FlagParWaveInner))
+    if (!Fails && Begin.Imm2 >= 1)
       for (int64_t At : R.At) {
         int64_t Total;
         if (At < 0 || __builtin_mul_overflow(Body[At].Imm0, Begin.Imm2, &Total))
@@ -1001,84 +962,110 @@ bool regionHasForbidden(const LIRProgram &P, size_t B, size_t E, bool ForC) {
   return false;
 }
 
-/// True when a slot written anywhere in [B, E] is read outside that
-/// range. The parallel runtime does not propagate a partitioned loop's
-/// register exit state (beyond the induction slots the evaluator
-/// restores itself), so any escaping write forces a demotion. Reads
-/// *before* B matter too: inside an enclosing loop they re-execute
-/// after the region and would observe the previous iteration's value.
-bool writesEscape(const LIRProgram &P, size_t B, size_t E) {
-  std::set<int32_t> W;
-  int32_t Buf[3];
-  for (size_t I = B; I <= E; ++I) {
-    int N = writtenSlots(P.Code[I], Buf);
-    for (int K = 0; K != N; ++K)
-      W.insert(Buf[K]);
+/// The first and last reader of each slot, from one sweep.
+struct ReadSpans {
+  std::vector<uint32_t> First, Last;
+  explicit ReadSpans(const LIRProgram &P)
+      : First(P.NumSlots, UINT32_MAX), Last(P.NumSlots, 0) {
+    int32_t Buf[3];
+    for (size_t I = 0; I != P.Code.size(); ++I) {
+      int N = readSlots(P.Code[I], Buf);
+      for (int K = 0; K != N; ++K) {
+        First[Buf[K]] = std::min(First[Buf[K]], static_cast<uint32_t>(I));
+        Last[Buf[K]] = static_cast<uint32_t>(I);
+      }
+    }
   }
-  for (size_t I = 0; I != P.Code.size(); ++I) {
-    if (I >= B && I <= E)
-      continue;
-    int N = readSlots(P.Code[I], Buf);
-    for (int K = 0; K != N; ++K)
-      if (W.count(Buf[K]))
-        return true;
+
+  /// True when a slot written anywhere in [B, E] is read outside it. The
+  /// parallel runtime drops a partitioned loop's register exit state
+  /// (bar the induction slots), so an escaping write forces a demotion.
+  /// Reads *before* B count too: inside an enclosing loop they re-run
+  /// after the region.
+  bool writesEscape(const LIRProgram &P, size_t B, size_t E) const {
+    int32_t Buf[2];
+    for (size_t I = B; I <= E; ++I) {
+      int N = writtenSlots(P.Code[I], Buf);
+      for (int K = 0; K != N; ++K)
+        if (First[Buf[K]] < B || Last[Buf[K]] > E)
+          return true;
+    }
+    return false;
   }
-  return false;
-}
+};
 
 /// Validates the wavefront pair rooted at the sealed WaveOuter loop at
-/// \p OB: a pure prelude (re-runnable per cell from loop-entry register
-/// state), then the flagged inner loop, then nothing until the outer
-/// end; inner body restrictions match DOALL. On success stores the
-/// inner LoopBegin index in \p InnerBegin.
+/// \p OB: a prelude, then the flagged inner loop, then nothing but the
+/// outer loop's carried increments until the outer end; inner body
+/// restrictions match DOALL. Every cell re-seeds the outer carried slots,
+/// re-runs the prelude, then advances the inner carried slots from their
+/// prelude values. The prelude is value code; under evaluator rules it
+/// may also hold checks and counters hoisted out of the inner loop (C
+/// cannot render those per cell). On success stores the inner LoopBegin
+/// index in \p InnerBegin.
 bool validateWavePair(const LIRProgram &P, size_t OB, bool ForC,
+                      const ReadSpans &Reads, SlotSet &Unsafe, SlotSet &Seen,
                       size_t &InnerBegin) {
   const LInst &Outer = P.Code[OB];
   size_t OE = static_cast<size_t>(Outer.Jump);
   if (Outer.backward())
     return false;
   size_t IB = OB + 1;
-  while (IB < OE && isPureValueOp(P.Code[IB].Op))
-    ++IB;
+  for (; IB < OE && !isOpenOp(P.Code[IB].Op); ++IB) {
+    const LOp Op = P.Code[IB].Op;
+    if (!isPureValueOp(Op) &&
+        (ForC || !(counterKind(Op) >= 0 || Op == LOp::CheckIdx ||
+                   Op == LOp::CheckNonZeroI)))
+      return false;
+  }
+  // An empty inner loop leaves the cells nothing to do.
   if (IB >= OE || P.Code[IB].Op != LOp::LoopBegin ||
-      !P.Code[IB].parWaveInner() || P.Code[IB].backward())
+      !P.Code[IB].parWaveInner() || P.Code[IB].backward() ||
+      P.Code[IB].Imm2 < 1)
     return false;
   size_t IE = static_cast<size_t>(P.Code[IB].Jump);
-  if (IE + 1 != OE) // something between the inner end and the outer end
-    return false;
+  const auto OuterCarried = carriedSlots(P, OB);
+  auto IsOuterCarried = [&](int32_t S) {
+    return std::any_of(OuterCarried.begin(), OuterCarried.end(),
+                       [S](const auto &C) { return C.first == S; });
+  };
+  for (size_t I = IE + 1; I < OE; ++I) {
+    const LInst &X = P.Code[I];
+    if (X.Op != LOp::AddImmI || X.A != X.B || !IsOuterCarried(X.A))
+      return false;
+  }
   if (regionHasForbidden(P, IB, IE, ForC))
     return false;
-  // Prelude re-run safety: every cell re-evaluates the prelude from the
-  // outer loop's *entry* register state, so a prelude read may only see
-  // slots the outer region never writes, the outer induction slots, or
-  // results of earlier prelude instructions.
-  std::set<int32_t> Unsafe; // written by the inner region or the prelude
+  // Prelude re-run safety: a prelude read may only see slots the outer
+  // region never writes, the outer induction and carried slots (all
+  // re-seeded per cell), or results of earlier prelude instructions.
+  Unsafe.clear(P.NumSlots); // written by the inner region or the prelude
+  Seen.clear(P.NumSlots);   // earlier prelude results are fine again
   int32_t Buf[3];
-  for (size_t I = IB; I <= IE; ++I) {
+  for (size_t I = OB + 1; I <= IE; ++I) {
     int N = writtenSlots(P.Code[I], Buf);
     for (int K = 0; K != N; ++K)
       Unsafe.insert(Buf[K]);
   }
-  for (size_t I = OB + 1; I < IB; ++I) {
-    int N = writtenSlots(P.Code[I], Buf);
-    for (int K = 0; K != N; ++K)
-      Unsafe.insert(Buf[K]);
-  }
-  std::set<int32_t> Seen; // earlier prelude results are fine again
   for (size_t I = OB + 1; I < IB; ++I) {
     int N = readSlots(P.Code[I], Buf);
     for (int K = 0; K != N; ++K) {
       int32_t S = Buf[K];
-      if (S == Outer.A || S == Outer.B || Seen.count(S))
+      if (S == Outer.A || S == Outer.B || Seen.contains(S) ||
+          IsOuterCarried(S))
         continue;
-      if (Unsafe.count(S))
+      if (Unsafe.contains(S))
         return false;
     }
     int NW = writtenSlots(P.Code[I], Buf);
     for (int K = 0; K != NW; ++K)
       Seen.insert(Buf[K]);
   }
-  if (writesEscape(P, OB, OE))
+  // Each cell starts the inner carried slots from their prelude values.
+  for (const auto &C : carriedSlots(P, IB))
+    if (!Seen.contains(C.first))
+      return false;
+  if (Reads.writesEscape(P, OB, OE))
     return false;
   InnerBegin = IB;
   return true;
@@ -1086,10 +1073,37 @@ bool validateWavePair(const LIRProgram &P, size_t OB, bool ForC,
 
 } // namespace
 
+std::vector<std::pair<int32_t, int64_t>>
+lir::carriedSlots(const LIRProgram &P, size_t Begin, size_t End) {
+  std::vector<std::pair<int32_t, int64_t>> Out;
+  int Depth = 0;
+  for (size_t I = Begin + 1; I < End; ++I) {
+    const LInst &In = P.Code[I];
+    if (isOpenOp(In.Op))
+      ++Depth;
+    else if (isCloseOp(In.Op))
+      --Depth;
+    else if (Depth == 0 && In.Op == LOp::AddImmI && In.A == In.B &&
+             In.Imm0 != 0)
+      Out.emplace_back(In.A, In.Imm0);
+  }
+  // Keep the slots written once in the whole region, markers included.
+  std::erase_if(Out, [&](const std::pair<int32_t, int64_t> &C) {
+    unsigned Writes = 0;
+    int32_t Buf[2];
+    for (size_t I = Begin; I <= End; ++I)
+      for (int K = 0, N = writtenSlots(P.Code[I], Buf); K != N; ++K)
+        Writes += Buf[K] == C.first;
+    return Writes != 1;
+  });
+  return Out;
+}
+
 void lir::legalizePar(LIRProgram &P, bool ForC) {
   // Pass 1: the outermost parallel level wins. Any par-flagged loop
   // nested inside another parallel region is cleared — except the
   // WaveInner directly paired with its still-flagged WaveOuter.
+  bool AnyPar = false;
   {
     struct Ent {
       bool Par;       // region still carries a par flag
@@ -1113,6 +1127,7 @@ void lir::legalizePar(LIRProgram &P, bool ForC) {
           else
             demoteLoop(P, I);
         }
+        AnyPar |= Keep;
         Stack.push_back({Keep, Keep && F == FlagParWaveOuter, false});
       } else if (Op == LOp::LoopDynBegin || Op == LOp::IfBegin) {
         Stack.push_back({false, false, false});
@@ -1121,20 +1136,24 @@ void lir::legalizePar(LIRProgram &P, bool ForC) {
       }
     }
   }
+  if (!AnyPar)
+    return;
   // Pass 2: per-loop body legality.
-  std::set<size_t> ClaimedInner;
+  const ReadSpans Reads(P);
+  SlotSet Unsafe, Seen;
+  size_t ClaimedInner = SIZE_MAX; // the inner of the last legal pair
   for (size_t I = 0; I != P.Code.size(); ++I) {
     LInst &In = P.Code[I];
     if (In.Op != LOp::LoopBegin)
       continue;
     size_t E = static_cast<size_t>(In.Jump);
     if (In.parDoall()) {
-      if (regionHasForbidden(P, I, E, ForC) || writesEscape(P, I, E))
+      if (regionHasForbidden(P, I, E, ForC) || Reads.writesEscape(P, I, E))
         demoteLoop(P, I);
     } else if (In.parWaveOuter()) {
       size_t IB = 0;
-      if (validateWavePair(P, I, ForC, IB)) {
-        ClaimedInner.insert(IB);
+      if (validateWavePair(P, I, ForC, Reads, Unsafe, Seen, IB)) {
+        ClaimedInner = IB;
       } else {
         for (size_t J = I + 1; J < E; ++J)
           if (P.Code[J].Op == LOp::LoopBegin &&
@@ -1142,7 +1161,7 @@ void lir::legalizePar(LIRProgram &P, bool ForC) {
             demoteLoop(P, J);
         demoteLoop(P, I);
       }
-    } else if (In.parWaveInner() && !ClaimedInner.count(I)) {
+    } else if (In.parWaveInner() && I != ClaimedInner) {
       // An inner that lost its outer cannot run on its own.
       demoteLoop(P, I);
     }
@@ -1154,14 +1173,8 @@ bool lir::buildProgram(const ExecPlan &Plan, const ArrayDims &TargetDims,
                        const std::map<std::string, ArrayDims> &InputDims,
                        const PipelineOptions &Opts, LIRProgram &P,
                        std::string &Err) {
-  const bool Parallel = Opts.Threads > 1;
   P = lowerPlan(Plan, TargetDims, Params, InputDims, Opts.AssumeTargetShape,
                 Opts.ValidateReads);
-  // Serial programs drop the ParPlanner flags up front, so the optimized
-  // serial LIR is the pre-parallel one (par-flagged loops opt out of
-  // strength reduction).
-  if (!Parallel)
-    stripParFlags(P);
   if (Opts.Optimize) {
     optimize(P);
     // Residual checks whose ranges only become provable after LICM and
@@ -1176,15 +1189,17 @@ bool lir::buildProgram(const ExecPlan &Plan, const ArrayDims &TargetDims,
     return false;
   }
   // Demote any par-flagged loop whose lowered body turned out not to be
-  // safe for concurrent execution (needs a sealed program).
-  if (Parallel)
-    legalizePar(P, /*ForC=*/false);
+  // safe for concurrent execution (needs a sealed program). Without a
+  // pool the evaluator ignores the surviving flags.
+  legalizePar(P, /*ForC=*/false);
   return true;
 }
 
 unsigned lir::legalizeKernel(LIRProgram &P, unsigned Threads) {
-  if (Threads <= 1)
+  if (Threads <= 1) {
+    stripParFlags(P);
     return 0;
+  }
   legalizePar(P, /*ForC=*/true);
   return Threads;
 }

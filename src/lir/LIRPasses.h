@@ -34,7 +34,8 @@
 ///
 /// Each pass is a single sweep over the loops or the stream. Passes run
 /// on unsealed code (Jump fields unresolved); call seal() afterwards.
-/// Statistics accumulate into the program's Num* fields.
+/// Statistics accumulate into the program's Num* fields. No pass reads
+/// the par flags, so one program serves every thread count.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,6 +47,8 @@
 
 #include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace hac {
 namespace lir {
@@ -58,44 +61,54 @@ void optimize(LIRProgram &P);
 /// they kept apart may merge and hoist).
 void cleanup(LIRProgram &P);
 
-/// Clears the ParPlanner flags from every instruction. Single-threaded
-/// backends call this before optimize() so the serial pipeline (including
-/// strength reduction, which par-flagged loops opt out of) is exactly the
-/// pre-parallel one.
+/// Clears the ParPlanner flags from every instruction. legalizeKernel
+/// calls it for a serial kernel, so 1-thread C never renders a pragma.
 void stripParFlags(LIRProgram &P);
+
+/// The carried slots of the loop whose markers sit at \p Begin and
+/// \p End, as (slot, step) pairs: every top-level `%s = addimm %s, step`
+/// (step != 0) whose slot has no other write in the loop, the form
+/// passes 2 and 4 leave. At the k-th executed iteration (k from 0) such
+/// a slot holds `entry + step * k`, so the parallel runtimes re-seed it
+/// when a chunk or wavefront cell starts part way through the loop.
+std::vector<std::pair<int32_t, int64_t>>
+carriedSlots(const LIRProgram &P, size_t Begin, size_t End);
+/// The same for the sealed loop at \p Begin.
+inline std::vector<std::pair<int32_t, int64_t>>
+carriedSlots(const LIRProgram &P, size_t Begin) {
+  return carriedSlots(P, Begin, static_cast<size_t>(P.Code[Begin].Jump));
+}
 
 /// Parallel legality pass: demotes (clears the flags of) any par-flagged
 /// loop whose lowered body contains a construct the parallel runtime
 /// cannot execute concurrently — ring saves/loads, snapshot saves,
 /// defined-bitmap checks (CheckCollision/CheckDefined), a nested
-/// par-flagged loop (the outermost level wins), a wavefront prelude that
-/// is not pure value computation, or a body-written slot read after the
-/// loop. With \p ForC set (the C kernel rules) it additionally demotes
-/// loops whose body contains rc-setting checks (CheckIdx/CheckNonZeroI/
-/// Fail), because the emitted `goto done` may not jump out of an OpenMP
-/// region; the evaluator handles those via per-worker error records
-/// instead. The stat counters stay legal either way (C renders them as
-/// OpenMP reductions). Requires a sealed program; flags stay consistent
-/// between LoopBegin and LoopEnd. Idempotent — safe to re-run on an
-/// already-legalized program, since demotion only ever clears flags.
+/// par-flagged loop (the outermost level wins), a wavefront pair a cell
+/// cannot rebuild (validateWavePair), or a body-written slot read after
+/// the loop. With \p ForC set (the C kernel rules) it additionally
+/// demotes loops whose body contains rc-setting checks (CheckIdx/
+/// CheckNonZeroI/Fail), because the emitted `goto done` may not jump out
+/// of an OpenMP region, and wave pairs whose prelude holds checks or
+/// counters; the evaluator handles checks via per-worker error records.
+/// Body counters stay legal either way (C renders them as OpenMP
+/// reductions). Requires a sealed program; flags stay consistent between
+/// LoopBegin and LoopEnd. Idempotent, since demotion only clears flags.
 void legalizePar(LIRProgram &P, bool ForC);
 
 /// The evaluator's pipeline knobs (Executor setters of the same names).
 struct PipelineOptions {
-  /// > 1 keeps the ParPlanner flags and legalizes them; otherwise they
-  /// are stripped before optimize().
-  unsigned Threads = 1;
   bool Optimize = true;     ///< optimize() (passes 1-6)
   bool SecondChance = true; ///< secondChance() after optimize()
   bool ValidateReads = false;     ///< lowerPlan's ValidateReads
   bool AssumeTargetShape = false; ///< lowerPlan's AssumeTargetShape
 };
 
-/// The one LIR pipeline: lowerPlan → stripParFlags (serial) → optimize →
-/// secondChance → seal → legalizePar(ForC = false) (parallel). Every
-/// consumer of the evaluator's program calls it — the Executor, emitC,
-/// hacc -dump-lir — so what the C printer renders is exactly what the
-/// evaluator runs. Returns false with \p Err set when sealing fails.
+/// The one LIR pipeline: lowerPlan → optimize → secondChance → seal →
+/// legalizePar(ForC = false), the same at every thread count (the
+/// serial evaluator ignores the par flags). Every consumer of the
+/// evaluator's program calls it — the Executor, emitC, hacc -dump-lir —
+/// so what the C printer renders is exactly what the evaluator runs.
+/// Returns false with \p Err set when sealing fails.
 bool buildProgram(const ExecPlan &Plan, const ArrayDims &TargetDims,
                   const ParamEnv &Params,
                   const std::map<std::string, ArrayDims> &InputDims,
@@ -103,10 +116,11 @@ bool buildProgram(const ExecPlan &Plan, const ArrayDims &TargetDims,
                   std::string &Err);
 
 /// Readies the evaluator's program \p P for the C kernel at \p Threads
-/// evaluator threads: a parallel program is re-legalized under the
-/// stricter C rules (legalizePar(P, true)). Returns the OpenMP thread
-/// pin for KernelEmitOptions::Threads, 0 for a serial kernel. The JIT,
-/// emitC and hacc's -dump-lir kernel key all go through here.
+/// evaluator threads: a serial kernel drops the par flags, a parallel
+/// one is re-legalized under the stricter C rules (legalizePar(P,
+/// true)). Returns the OpenMP thread pin for KernelEmitOptions::Threads,
+/// 0 for a serial kernel. The JIT, emitC and hacc's -dump-lir kernel key
+/// all go through here.
 unsigned legalizeKernel(LIRProgram &P, unsigned Threads);
 
 } // namespace lir

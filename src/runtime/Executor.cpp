@@ -36,7 +36,6 @@ struct LIRCacheImpl {
     bool ValidateReads = false;
     bool Optimize = true;
     bool SecondChance = true;
-    bool Parallel = false;
     size_t NumStmts = 0;
     const void *FirstStmt = nullptr;
     const void *LastStmt = nullptr;
@@ -44,22 +43,14 @@ struct LIRCacheImpl {
     ArrayDims TargetDims;
     std::map<std::string, ArrayDims> InputDims;
 
-    bool operator==(const Key &O) const {
-      return PlanId == O.PlanId && ValidateReads == O.ValidateReads &&
-             Optimize == O.Optimize && SecondChance == O.SecondChance &&
-             Parallel == O.Parallel &&
-             NumStmts == O.NumStmts &&
-             FirstStmt == O.FirstStmt && LastStmt == O.LastStmt &&
-             CheckFlags == O.CheckFlags && TargetDims == O.TargetDims &&
-             InputDims == O.InputDims;
-    }
+    bool operator==(const Key &O) const = default;
   };
   struct Entry {
     Key K;
     lir::LIRProgram Prog;
     /// The plan's native kernel (shared with the JitCompiler table), or
     /// null while JIT is off / not yet requested for this entry.
-    std::shared_ptr<jit::KernelEntry> Jit;
+    std::shared_ptr<jit::KernelEntry> Jit = nullptr;
     bool Interpreted = false; ///< some run of this entry used the evaluator
     bool SwapCounted = false; ///< the interp→native swap was tallied
     bool JitWarned = false;   ///< the build-failure fallback was reported
@@ -102,7 +93,7 @@ struct LIRCacheImpl {
 namespace {
 
 LIRCacheImpl::Key makeKey(const ExecPlan &Plan, bool ValidateReads,
-                          bool Optimize, bool SecondChance, bool Parallel,
+                          bool Optimize, bool SecondChance,
                           const ArrayDims &TargetDims,
                           std::map<std::string, ArrayDims> InputDims) {
   LIRCacheImpl::Key K;
@@ -110,21 +101,14 @@ LIRCacheImpl::Key makeKey(const ExecPlan &Plan, bool ValidateReads,
   K.ValidateReads = ValidateReads;
   K.Optimize = Optimize;
   K.SecondChance = SecondChance;
-  K.Parallel = Parallel;
   K.NumStmts = Plan.Stmts.size();
-  K.FirstStmt = Plan.Stmts.empty() ? nullptr
-                                   : static_cast<const void *>(
-                                         Plan.Stmts.front().Clause
-                                             ? (const void *)Plan.Stmts.front()
-                                                   .Clause
-                                             : (const void *)Plan.Stmts.front()
-                                                   .Loop);
-  K.LastStmt = Plan.Stmts.empty()
-                   ? nullptr
-                   : static_cast<const void *>(
-                         Plan.Stmts.back().Clause
-                             ? (const void *)Plan.Stmts.back().Clause
-                             : (const void *)Plan.Stmts.back().Loop);
+  auto Addr = [](const PlanStmt &S) -> const void * {
+    return S.Clause ? (const void *)S.Clause : (const void *)S.Loop;
+  };
+  if (!Plan.Stmts.empty()) {
+    K.FirstStmt = Addr(Plan.Stmts.front());
+    K.LastStmt = Addr(Plan.Stmts.back());
+  }
   K.CheckFlags = (Plan.CheckStoreBounds ? 1 : 0) |
                  (Plan.CheckCollisions ? 2 : 0) | (Plan.CheckEmpties ? 4 : 0) |
                  (Plan.CheckReadBounds ? 8 : 0) | (Plan.InPlace ? 16 : 0);
@@ -194,6 +178,11 @@ void Executor::setNumThreads(unsigned N) {
   if (N != Threads) {
     Threads = N;
     Pool.reset(); // rebuilt lazily at the next parallel run
+    // The cached programs serve every thread count, but a kernel is
+    // legalized and pinned for one; each entry re-acquires its own.
+    if (Cache)
+      for (LIRCacheImpl::Entry &E : Cache->Entries)
+        E.Jit.reset();
   }
 }
 
@@ -222,12 +211,11 @@ bool Executor::runImpl(const ExecPlan &Plan, DoubleArray &Target,
   for (const auto &[Name, Arr] : Inputs)
     InDims[Name] = Arr->dims();
 
-  const bool Parallel = Threads > 1;
   if (!Cache)
     Cache = std::make_shared<LIRCacheImpl>();
   LIRCacheImpl::Key Key =
-      makeKey(Plan, ValidateReads, LIROptimize, LIRSecondChance, Parallel,
-              TargetDims, std::move(InDims));
+      makeKey(Plan, ValidateReads, LIROptimize, LIRSecondChance, TargetDims,
+              std::move(InDims));
 
   const lir::LIRProgram *Prog = nullptr;
   LIRCacheImpl::Entry *CacheEnt = nullptr;
@@ -255,7 +243,6 @@ bool Executor::runImpl(const ExecPlan &Plan, DoubleArray &Target,
     {
       TraceSpan Span("lower.lir");
       lir::PipelineOptions Opts;
-      Opts.Threads = Threads;
       Opts.Optimize = LIROptimize;
       Opts.SecondChance = LIRSecondChance;
       Opts.ValidateReads = ValidateReads;
@@ -272,7 +259,7 @@ bool Executor::runImpl(const ExecPlan &Plan, DoubleArray &Target,
       S.count("lir.ivs_coalesced", Local.NumIvsCoalesced);
       S.count("lir.counters_folded", Local.NumCountersFolded);
       S.count("lir.absint.second_chance", Local.NumAbsintElim);
-      if (Parallel) {
+      if (Threads > 1) {
         uint64_t Doall = 0, Wave = 0;
         for (const lir::LInst &I : Local.Code)
           if (I.Op == lir::LOp::LoopBegin) {
@@ -289,7 +276,8 @@ bool Executor::runImpl(const ExecPlan &Plan, DoubleArray &Target,
         ++Cache->Evictions;
         HAC_TRACE_COUNT("lir.cache.evictions");
       }
-      Cache->Entries.push_front({std::move(Key), std::move(Local)});
+      Cache->Entries.push_front(
+          {.K = std::move(Key), .Prog = std::move(Local)});
       CacheEnt = &Cache->Entries.front();
       Prog = &CacheEnt->Prog;
     } else {

@@ -88,12 +88,12 @@ public:
   /// default; bench_checks flips this to measure residual checks.
   void setLIRSecondChance(bool V) { LIRSecondChance = V; }
 
-  /// Sets the worker count for parallel loop execution. 1 (the default)
-  /// keeps the fully serial pipeline — par flags are stripped before
-  /// the optimization passes, so single-threaded LIR is byte-identical
-  /// to the pre-parallel one. 0 picks the HAC_THREADS environment
-  /// override or else std::thread::hardware_concurrency(). The lazily
-  /// created thread pool is shared across runs of this executor.
+  /// Sets the worker count for parallel loop execution; 1 (the default)
+  /// runs every loop serially. The cached LIR serves every count, so a
+  /// change drops only each plan's native kernel (pinned to one count).
+  /// 0 picks the HAC_THREADS environment override or else
+  /// std::thread::hardware_concurrency(). The lazily created thread pool
+  /// is shared across runs of this executor.
   void setNumThreads(unsigned N);
   unsigned numThreads() const { return Threads; }
 

@@ -17,7 +17,6 @@ static LIRVerifyOutcome runPlan(const ExecPlan &Plan, const ArrayDims &Dims,
                                 const LIRVerifyOptions &Opts) {
   LIRVerifyOutcome Out;
   lir::PlanVerifyOptions PO;
-  PO.Threads = Opts.Threads;
   PO.SecondChance = Opts.SecondChance;
   PO.InjectKind = Opts.Inject;
   lir::PlanVerifyResult R = lir::verifyPlanLIR(Plan, Dims, Params, PO);

@@ -26,9 +26,6 @@ namespace hac {
 
 /// Options for one LIR verification run.
 struct LIRVerifyOptions {
-  /// Worker count of the pipeline being validated: 1 = the serial
-  /// Executor pipeline, > 1 enables legalizePar and the race checks.
-  unsigned Threads = 1;
   /// Mirror the Executor's second-chance check elimination (HAC012
   /// notes for residual checks it deletes).
   bool SecondChance = true;

@@ -56,10 +56,10 @@ public:
 
   /// Enables the LIR verification layer (HAC009–HAC012): translation
   /// validation of dropped checks, static race checking of par-flagged
-  /// loops, and second-chance elimination notes, run over the Executor
-  /// pipeline replicated at \p Opts.Threads workers. Off by default so
-  /// plain Verifier runs keep reporting only the plan-level rules;
-  /// `hacc -analyze` turns it on (`-no-verify-lir` opts out).
+  /// loops, and second-chance elimination notes, run over a replica of
+  /// the Executor pipeline (one program at every thread count). Off by
+  /// default so plain Verifier runs keep reporting only the plan-level
+  /// rules; `hacc -analyze` turns it on (`-no-verify-lir` opts out).
   void enableLIRVerify(const LIRVerifyOptions &Opts) { LIROptions = Opts; }
 
   /// Verifies an array construction (also covers accumArray and the

@@ -44,15 +44,6 @@ struct NestFixture {
   }
 };
 
-/// Collects edge strings for easy assertions.
-std::vector<std::string> edgeStrings(const DepGraph &G) {
-  std::vector<std::string> Out;
-  for (const DepEdge &E : G.Edges)
-    Out.push_back(E.str());
-  std::sort(Out.begin(), Out.end());
-  return Out;
-}
-
 bool hasEdge(const DepGraph &G, const std::string &S) {
   for (const DepEdge &E : G.Edges)
     if (E.str() == S)
@@ -330,7 +321,8 @@ TEST_P(SoundnessTest, InexactTestsNeverContradictExactWitness) {
     std::vector<std::unique_ptr<LoopNode>> Loops;
     for (int K = 0; K != NL; ++K)
       Loops.push_back(std::make_unique<LoopNode>(
-          K, "i" + std::to_string(K), LoopBounds{1, Trip(Rng), 1}, K));
+          K, std::string("i").append(std::to_string(K)),
+          LoopBounds{1, Trip(Rng), 1}, K));
 
     DepProblem P;
     for (auto &L : Loops)

@@ -24,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -146,8 +147,9 @@ TEST(JitEnvTest, ParseModeTable) {
   for (const Row &R : Table) {
     jit::JitMode M = jit::JitMode::Off;
     EXPECT_EQ(jit::parseJitMode(R.In, M), R.OK) << "'" << R.In << "'";
-    if (R.OK)
+    if (R.OK) {
       EXPECT_EQ(M, R.M) << "'" << R.In << "'";
+    }
   }
   jit::JitMode M;
   EXPECT_FALSE(jit::parseJitMode(nullptr, M));
@@ -229,6 +231,53 @@ TEST(JitExecTest, ParallelKernelsMatch) {
   jit::JitCompiler JC({D.str(), 256ull << 20});
   checkTierParity(mustCompile(WavefrontSource), JC, jit::JitMode::Sync,
                   /*Threads=*/4);
+}
+
+TEST(JitExecTest, ThreadCountChangeKeepsProgramDropsKernel) {
+  // One cached LIR program serves every thread count: after
+  // setNumThreads(4) the second run hits the LIR cache and reports the
+  // same bits and ExecStats. A kernel is legalized and pinned for one
+  // count, so under the JIT the second run must build a new one.
+  ScratchCacheDir D("threads");
+  jit::JitCompiler JC({D.str(), 256ull << 20});
+  const CompiledArray Compiled = mustCompile(WavefrontSource);
+  for (jit::JitMode Mode : {jit::JitMode::Off, jit::JitMode::Sync}) {
+    const bool Native = Mode == jit::JitMode::Sync;
+    Executor Exec(Compiled.Params);
+    Exec.setJitMode(Mode);
+    Exec.setJitCompiler(&JC);
+    Exec.setNumThreads(1);
+    DoubleArray Out1, Out4;
+    std::string Err;
+    ASSERT_TRUE(Compiled.evaluate(Out1, Exec, Err)) << Err;
+    EXPECT_EQ(Exec.lirCacheStats().Misses, 1u);
+    EXPECT_EQ(Exec.lirCacheStats().Hits, 0u);
+    const ExecStats S1 = Exec.stats();
+    Exec.resetStats();
+    const uint64_t Compiles = JC.stats().Compiles;
+
+    Exec.setNumThreads(4);
+    ASSERT_TRUE(Compiled.evaluate(Out4, Exec, Err)) << Err;
+    EXPECT_EQ(Exec.lirCacheStats().Misses, 1u);
+    EXPECT_EQ(Exec.lirCacheStats().Hits, 1u);
+    ASSERT_EQ(Out1.size(), Out4.size());
+    EXPECT_EQ(std::memcmp(Out1.data(), Out4.data(),
+                          Out1.size() * sizeof(double)),
+              0);
+    const ExecStats &S4 = Exec.stats();
+    EXPECT_EQ(S1.Loads, S4.Loads);
+    EXPECT_EQ(S1.Stores, S4.Stores);
+    EXPECT_EQ(S1.RingSaves, S4.RingSaves);
+    EXPECT_EQ(S1.SnapshotCopies, S4.SnapshotCopies);
+    EXPECT_EQ(S1.BoundsChecks, S4.BoundsChecks);
+    EXPECT_EQ(S1.CollisionChecks, S4.CollisionChecks);
+    EXPECT_EQ(S1.GuardEvals, S4.GuardEvals);
+    EXPECT_EQ(S1.FusedIters, S4.FusedIters);
+    EXPECT_EQ(S1.TempBytes, S4.TempBytes);
+    EXPECT_EQ(Exec.jitStats().NativeRuns, Native ? 2u : 0u);
+    EXPECT_EQ(JC.stats().Compiles, Compiles + (Native ? 1u : 0u))
+        << "the 4-thread run must not reuse the 1-thread kernel";
+  }
 }
 
 TEST(JitExecTest, StatsParityWithRuntimeChecks) {

@@ -98,11 +98,9 @@ using KernelFn = int (*)(double *, const double *const *);
 void expectOneRenderer(const std::string &Path, const ExecPlan &Plan,
                        const ParamEnv &Params) {
   for (unsigned Threads : {1u, 4u}) {
-    lir::PipelineOptions Opts;
-    Opts.Threads = Threads;
     lir::LIRProgram P;
     std::string Err;
-    ASSERT_TRUE(lir::buildProgram(Plan, Plan.Dims, Params, {}, Opts, P, Err))
+    ASSERT_TRUE(lir::buildProgram(Plan, Plan.Dims, Params, {}, {}, P, Err))
         << Path << "\n" << Err;
     KernelEmitOptions KOpts;
     KOpts.Threads = lir::legalizeKernel(P, Threads);
@@ -239,15 +237,17 @@ void expectSameReport(const RunReport &A, const RunReport &B,
 
 using RunFn = std::function<bool(Executor &, DoubleArray &, std::string &)>;
 
-/// Runs \p Run with the passes on and off at 1 and 4 threads and
-/// requires each pair to report the same thing. Returns whether the
-/// optimized 1-thread run succeeded.
+/// Runs \p Run with the passes on and off at 1, 2, 4 and 8 threads and
+/// requires each pair to report the same thing. Every thread count must
+/// also succeed or fail like the 1-thread run, with the same error text,
+/// and on success report the same result bits and ExecStats. Returns
+/// whether the optimized 1-thread run succeeded.
 bool checkPassesKeepReports(const ParamEnv &Params, const RunFn &Run,
                             const std::map<std::string, const DoubleArray *>
                                 &Inputs,
                             const std::string &Where) {
-  bool OK = false;
-  for (unsigned Threads : {1u, 4u}) {
+  RunReport Serial;
+  for (unsigned Threads : {1u, 2u, 4u, 8u}) {
     RunReport R[2];
     for (int Opt = 0; Opt != 2; ++Opt) {
       Executor Exec(Params);
@@ -258,12 +258,19 @@ bool checkPassesKeepReports(const ParamEnv &Params, const RunFn &Run,
       R[Opt].OK = Run(Exec, R[Opt].Out, R[Opt].Err);
       R[Opt].Stats = Exec.stats();
     }
-    expectSameReport(R[1], R[0],
-                     Where + " @" + std::to_string(Threads) + " threads");
-    if (Threads == 1)
-      OK = R[1].OK;
+    const std::string At =
+        Where + " @" + std::to_string(Threads) + " threads";
+    expectSameReport(R[1], R[0], At);
+    if (Threads == 1) {
+      Serial = std::move(R[1]);
+    } else if (Serial.OK) {
+      expectSameReport(R[1], Serial, At + " vs 1 thread");
+    } else {
+      EXPECT_FALSE(R[1].OK) << At;
+      EXPECT_EQ(R[1].Err, Serial.Err) << At;
+    }
   }
-  return OK;
+  return Serial.OK;
 }
 
 /// Compiles \p Source the way hacc does (bigupd, accumArray or plain
@@ -307,15 +314,37 @@ bool checkProgramReports(const std::string &Source,
   return true;
 }
 
+/// The 8x8 input `b` the programs below read.
+DoubleArray inputGrid() {
+  DoubleArray B({{1, 8}, {1, 8}});
+  for (size_t I = 0, N = B.size(); I != N; ++I)
+    B[I] = 0.5 + 0.125 * static_cast<double>(I % 11);
+  return B;
+}
+
+/// A wavefront whose interior also reads input row \p Row, a function of
+/// i alone whose range the analyses cannot bound: the read's bounds
+/// check and the inner loop's counters end up in the wave prelude.
+std::string wavePrelude(const std::string &Row) {
+  return "let n = 8 in\n"
+         "letrec* a = array ((1,1),(n,n))\n"
+         "  ([ (1,j) := b!(1,j) | j <- [1..n] ] ++\n"
+         "   [ (i,1) := b!(i,1) | i <- [2..n] ] ++\n"
+         "   [ (i,j) := a!(i-1,j) + a!(i,j-1) + b!(" +
+         Row + ", 1)\n     | i <- [2..n], j <- [2..n] ])\nin a\n";
+}
+
 } // namespace
 
 TEST(LIRGolden, PassesNeverChangeResults) {
   // The optimizer never changes what a run reports: every example and
-  // two faulting programs, with the passes on (the Executor default) and
-  // with setLIROptimize(false), at 1 and 4 threads, must produce the same
-  // result bits, error text and ExecStats, on success and on failure.
-  // Counter folding moves counters across whole loops, so this is the
-  // test of its "identical at every failure point" contract.
+  // three faulting programs, with the passes on (the Executor default)
+  // and with setLIROptimize(false), at 1, 2, 4 and 8 threads, must
+  // produce the same result bits, error text and ExecStats, on success
+  // and on failure. Counter folding moves counters across whole loops,
+  // so this is the test of its "identical at every failure point"
+  // contract. Across thread counts the error text must not change
+  // either: the parallel runtimes re-seed carried slots per chunk.
   std::vector<std::filesystem::path> Programs;
   for (const auto &Entry :
        std::filesystem::directory_iterator(HAC_EXAMPLES_DIR))
@@ -336,9 +365,7 @@ TEST(LIRGolden, PassesNeverChangeResults) {
   // Input reads carry bounds counters, which fold out of the first
   // clause's loops; the second clause's non-affine store leaves the
   // grid at row 6, after stores and counters have landed.
-  DoubleArray B({{1, 8}, {1, 8}});
-  for (size_t I = 0, N = B.size(); I != N; ++I)
-    B[I] = 0.5 + 0.125 * static_cast<double>(I % 11);
+  const DoubleArray B = inputGrid();
   const std::string OutOfBounds =
       "let n = 8 in\n"
       "letrec* a = array ((1,1),(n,n))\n"
@@ -350,13 +377,92 @@ TEST(LIRGolden, PassesNeverChangeResults) {
       "letrec* a = array ((1,1),(n,n))\n"
       "  [ (i, j - (i / 6) * (j / 4)) := b!(i,j) + 0.5 * i\n"
       "    | i <- [1..n], j <- [1..n] ]\nin a\n";
+  // A DOALL of trip 37 (no multiple of the 8, 16 or 32 chunks) whose
+  // store column and divisor are carried slots: the column leaves the
+  // grid at i = 31, inside a later chunk, before the divisor reaches
+  // zero at i = 34. A chunk that started its carried slots at the loop
+  // entry values would fail late with the division message, or not at
+  // all.
+  const std::string LateChunk =
+      "let n = 37 in\n"
+      "letrec* a = array ((1,1),(n,n))\n"
+      "  [ (i, i + 7) := 0.5 * (100 / (i - 34)) | i <- [1..n] ]\nin a\n";
   for (const auto &[Name, Source] :
        {std::pair<std::string, std::string>{"out-of-bounds store", OutOfBounds},
-        {"write collision", Collision}}) {
+        {"write collision", Collision},
+        {"carried slots past a late chunk boundary", LateChunk}}) {
     bool RanOK = true;
     ASSERT_TRUE(checkProgramReports(Source, {{"b", &B}}, Name, RanOK))
         << Name << " did not compile thunkless";
     EXPECT_FALSE(RanOK) << Name << " was expected to fault";
+  }
+}
+
+TEST(LIRGolden, WavePreludeKeepsHoistedChecks) {
+  // Check hoisting and counter folding move the row-invariant input
+  // check and the inner loop's counters into the wave prelude. The
+  // evaluator keeps the pair parallel (every cell re-runs the check, the
+  // first cell of a row counts the counters); the C rules demote it.
+  // Every thread count reports what the serial run does, profile too,
+  // and a row whose check fails stops every thread count with the
+  // serial run's error.
+  const DoubleArray B = inputGrid();
+  Compiler C;
+  auto A = C.compileArray(wavePrelude("i*i - i*i + 1"));
+  ASSERT_TRUE(A && A->Thunkless) << C.diags().str();
+  lir::LIRProgram P;
+  std::string Err;
+  ASSERT_TRUE(lir::buildProgram(A->Plan, A->Dims, A->Params,
+                                {{"b", B.dims()}}, {}, P, Err))
+      << Err;
+  bool Check = false, Count = false;
+  for (size_t I = 0; I != P.Code.size(); ++I)
+    if (P.Code[I].Op == lir::LOp::LoopBegin && P.Code[I].parWaveOuter())
+      for (size_t K = I + 1; P.Code[K].Op != lir::LOp::LoopBegin; ++K) {
+        Check |= P.Code[K].Op == lir::LOp::CheckIdx;
+        Count |= P.Code[K].Op == lir::LOp::CountBounds;
+      }
+  EXPECT_TRUE(Check && Count) << lir::printLIR(P);
+  lir::legalizeKernel(P, 4);
+  for (const lir::LInst &I : P.Code)
+    EXPECT_FALSE(I.parWaveOuter() || I.parWaveInner());
+
+  const RunFn Run = [&](Executor &E, DoubleArray &O, std::string &Err) {
+    return A->evaluate(O, E, Err);
+  };
+  EXPECT_TRUE(checkPassesKeepReports(A->Params, Run, {{"b", &B}},
+                                     "check in a wave prelude"));
+  ProfileSink &PS = ProfileSink::get();
+  const bool WasOn = PS.enabled();
+  PS.setEnabled(true);
+  std::vector<std::pair<uint64_t, uint64_t>> Counts;
+  for (unsigned Threads : {1u, 4u}) {
+    PS.clear();
+    Executor Exec(A->Params);
+    Exec.setNumThreads(Threads);
+    Exec.setJitMode(jit::JitMode::Off);
+    Exec.bindInput("b", &B);
+    DoubleArray Out;
+    EXPECT_TRUE(Run(Exec, Out, Err)) << Err;
+    for (const ProgramProfile &PP : PS.programsSnapshot())
+      Counts.emplace_back(PP.RootInstrs, PP.RootChecks);
+  }
+  PS.setEnabled(WasOn);
+  PS.clear();
+  ASSERT_EQ(Counts.size(), 2u);
+  EXPECT_EQ(Counts[0], Counts[1]);
+  EXPECT_EQ(Counts[0].second, 7u) << "one prelude check per row";
+
+  // Row 8 reads b!(9, 1).
+  auto F = C.compileArray(wavePrelude("min (i*i - i*i + i + 1) 9"));
+  ASSERT_TRUE(F && F->Thunkless) << C.diags().str();
+  for (unsigned Threads : {1u, 2u, 4u, 8u}) {
+    Executor Exec(F->Params);
+    Exec.setNumThreads(Threads);
+    Exec.bindInput("b", &B);
+    DoubleArray Out;
+    EXPECT_FALSE(F->evaluate(Out, Exec, Err)) << Threads;
+    EXPECT_EQ(Err, "array read out of bounds on 'b'") << Threads;
   }
 }
 
@@ -367,7 +473,9 @@ TEST(LIRGolden, DispatchBudgetPerCell) {
   // Jacobi is 4 loads, 3 adds, a divide, a store, one increment and the
   // loop end. The budgets leave room for border loops and per-row work
   // at n=64, so dead inductions, per-load counters or parallel address
-  // IVs coming back fail this test.
+  // IVs coming back fail this test. A 4-thread Executor runs the same
+  // program through the DOALL and wavefront runtimes and must dispatch
+  // exactly as much (the profiler counts the serial equivalent).
   const int64_t N = 64;
   const std::string Head = "let n = " + std::to_string(N) + " in\n";
   const std::string Wavefront =
@@ -388,14 +496,15 @@ TEST(LIRGolden, DispatchBudgetPerCell) {
   for (size_t I = 0, S = B.size(); I != S; ++I)
     B[I] = 0.25 * static_cast<double>(I % 13);
 
-  auto InstrsPerCell = [&](const std::string &Source) -> double {
+  auto InstrsPerCell = [&](const std::string &Source,
+                           unsigned Threads) -> double {
     Compiler C;
     auto A = C.compileArray(Source);
     EXPECT_TRUE(A && A->Thunkless) << C.diags().str();
     if (!A || !A->Thunkless)
       return 1e9;
     Executor Exec(A->Params);
-    Exec.setNumThreads(1);
+    Exec.setNumThreads(Threads);
     Exec.setJitMode(jit::JitMode::Off);
     Exec.bindInput("b", &B);
     ProfileSink &PS = ProfileSink::get();
@@ -412,8 +521,10 @@ TEST(LIRGolden, DispatchBudgetPerCell) {
     PS.clear();
     return static_cast<double>(Instrs) / static_cast<double>(Out.size());
   };
-  EXPECT_LE(InstrsPerCell(Wavefront), 9.5);
-  EXPECT_LE(InstrsPerCell(Jacobi), 11.5);
+  for (unsigned Threads : {1u, 4u}) {
+    EXPECT_LE(InstrsPerCell(Wavefront, Threads), 9.5) << Threads;
+    EXPECT_LE(InstrsPerCell(Jacobi, Threads), 11.5) << Threads;
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -489,9 +600,10 @@ void diffUpdate(const std::string &Path, const std::string &Source,
     return;
 
   ArrayDims Dims = Compiled->Plan.Dims;
-  if (Dims.empty())
+  if (Dims.empty()) {
     ASSERT_TRUE(estimateUpdateDims(Compiled->Plan, Compiled->Params, Dims))
         << Path;
+  }
   DoubleArray Start(Dims);
   fillStart(Start);
 

@@ -19,6 +19,7 @@
 #include "runtime/Executor.h"
 
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <gtest/gtest.h>
@@ -133,8 +134,9 @@ TEST(ModuleTest, BufferPlanRecyclesDeadIntermediates) {
   // The result is never recycled and owns a fresh slot.
   unsigned ResultSlot = BP.Slot[M->ResultIndex];
   for (unsigned B = 0; B != M->Bindings.size(); ++B)
-    if (static_cast<int>(B) != M->ResultIndex)
+    if (static_cast<int>(B) != M->ResultIndex) {
       EXPECT_NE(BP.Slot[B], ResultSlot);
+    }
 
   // Liveness: a binding's slot is only recycled after its last consumer.
   for (unsigned B = 0; B != M->Bindings.size(); ++B)
@@ -202,6 +204,31 @@ TEST(ClassifyTest, UpdateAndAccumForms) {
   ProgramCompiler Acc(ProgramKind::Accum);
   ASSERT_TRUE(Acc.compile(BareAccum)) << Acc.diags().str();
   EXPECT_TRUE(Acc.thunkless()) << Acc.fallbackReason();
+}
+
+TEST(ClassifyTest, PlainLetArrayIsTheTarget) {
+  // `let a = array ... in a` defines `a` like `letrec* a = ...` does; the
+  // interpreter binds a plain let's name over its own value, so the
+  // recurrence reads the array being built.
+  const char *PlainLet =
+      "let n = 6 in\n"
+      "let a = array (1,n) ([ i := 1.0 | i <- [1..1] ] ++\n"
+      "                     [ i := a!(i-1) * 1.5 + 0.25 | i <- [2..n] ])\n"
+      "in a\n";
+  EXPECT_EQ(classify(PlainLet), ProgramKind::Array);
+  ProgramCompiler P(ProgramKind::Array);
+  ASSERT_TRUE(P.compile(PlainLet)) << P.diags().str();
+  ASSERT_TRUE(P.thunkless()) << P.fallbackReason();
+  Executor Exec(P.params());
+  DoubleArray Out;
+  std::string Err;
+  ASSERT_TRUE(P.run(Exec, Out, Err)) << Err;
+  std::optional<DoubleArray> Ref = interpRef(PlainLet);
+  ASSERT_TRUE(Ref.has_value());
+  ASSERT_EQ(Ref->size(), Out.size());
+  EXPECT_EQ(std::memcmp(Ref->data(), Out.data(), Out.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(Out[5], 10.890625);
 }
 
 TEST(ClassifyTest, CommentsDoNotChangeTheKind) {

@@ -7,11 +7,9 @@
 //    source lines, nesting, and trip counts match the program, and whose
 //    inclusive counters obey the parent >= sum-of-children invariant.
 //  * Thread identity: Entries/Trips/Instrs/Checks on a successful run
-//    are bit-identical across thread counts for the same lowered
-//    program (the stable contract from Profile.h). With optimization
-//    on, 1-thread LIR differs from the parallel one (par flags opt
-//    loops out of strength reduction), so the full-counter comparison
-//    runs with passes off plus j2-vs-j8 optimized.
+//    are bit-identical across thread counts (the stable contract from
+//    Profile.h): every thread count runs the same lowered program, with
+//    the passes on or off.
 //  * Disabled mode: nothing is recorded and ExecStats are unchanged.
 //  * Timeline: the Chrome trace JSON is well formed — timestamps
 //    ascend, and every lane's B/E events form a balanced nesting.
@@ -20,6 +18,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Compiler.h"
+#include "driver/Driver.h"
 #include "parallel/ThreadPool.h"
 #include "support/ChromeTrace.h"
 #include "support/Profile.h"
@@ -72,18 +71,23 @@ protected:
 std::vector<ProgramProfile> profileRun(const std::string &Source,
                                        unsigned Threads, bool Optimize) {
   ProfileSink::get().clear();
-  Compiler C;
-  auto Compiled = C.compileArray(Source);
-  EXPECT_TRUE(Compiled.has_value()) << C.diags().str();
-  if (!Compiled)
+  DiagnosticEngine Diags;
+  std::optional<ProgramKind> Kind = classifyProgram(Source, Diags);
+  EXPECT_TRUE(Kind.has_value()) << Diags.str();
+  if (!Kind)
     return {};
-  EXPECT_TRUE(Compiled->Thunkless) << Compiled->FallbackReason;
-  Executor Exec(Compiled->Params);
+  ProgramCompiler PC(*Kind);
+  if (!PC.compile(Source)) {
+    ADD_FAILURE() << PC.diags().str();
+    return {};
+  }
+  EXPECT_TRUE(PC.thunkless()) << PC.fallbackReason();
+  Executor Exec(PC.params());
   Exec.setNumThreads(Threads);
   Exec.setLIROptimize(Optimize);
   DoubleArray Out;
   std::string Err;
-  EXPECT_TRUE(Compiled->evaluate(Out, Exec, Err)) << Err;
+  EXPECT_TRUE(PC.run(Exec, Out, Err)) << Err;
   return ProfileSink::get().programsSnapshot();
 }
 
@@ -284,50 +288,44 @@ TEST_F(ProfileTest, SerialLoopCarriesWitness) {
 
 void expectSameCounters(const std::vector<ProgramProfile> &A,
                         const std::vector<ProgramProfile> &B,
-                        bool FullIdentity, const char *What) {
+                        const std::string &What) {
   ASSERT_EQ(A.size(), B.size()) << What;
   for (size_t P = 0; P != A.size(); ++P) {
     ASSERT_EQ(A[P].Loops.size(), B[P].Loops.size()) << What;
-    if (FullIdentity) {
-      EXPECT_EQ(A[P].RootInstrs, B[P].RootInstrs) << What;
-      EXPECT_EQ(A[P].RootChecks, B[P].RootChecks) << What;
-    }
+    EXPECT_EQ(A[P].RootInstrs, B[P].RootInstrs) << What;
+    EXPECT_EQ(A[P].RootChecks, B[P].RootChecks) << What;
     for (size_t I = 0; I != A[P].Loops.size(); ++I) {
       const ProfiledLoop &LA = A[P].Loops[I];
       const ProfiledLoop &LB = B[P].Loops[I];
       EXPECT_EQ(LA.Var, LB.Var) << What << " loop " << I;
       EXPECT_EQ(LA.Entries, LB.Entries) << What << " loop " << LA.Var;
       EXPECT_EQ(LA.Trips, LB.Trips) << What << " loop " << LA.Var;
-      if (FullIdentity) {
-        EXPECT_EQ(LA.Instrs, LB.Instrs) << What << " loop " << LA.Var;
-        EXPECT_EQ(LA.Checks, LB.Checks) << What << " loop " << LA.Var;
-      }
+      EXPECT_EQ(LA.Instrs, LB.Instrs) << What << " loop " << LA.Var;
+      EXPECT_EQ(LA.Checks, LB.Checks) << What << " loop " << LA.Var;
     }
   }
 }
 
-TEST_F(ProfileTest, CountersIdenticalAcrossThreadsUnoptimized) {
-  // With the passes off, every thread count executes the same LIR, so
-  // all four counters must match bit for bit (Nanos naturally varies).
-  std::string Source = readFile(examplePath("wavefront.hac"));
-  auto P1 = profileRun(Source, 1, false);
-  auto P2 = profileRun(Source, 2, false);
-  auto P8 = profileRun(Source, 8, false);
-  expectSameCounters(P1, P2, /*FullIdentity=*/true, "j1 vs j2");
-  expectSameCounters(P2, P8, /*FullIdentity=*/true, "j2 vs j8");
-}
-
-TEST_F(ProfileTest, CountersIdenticalAcrossParallelThreadsOptimized) {
-  // With optimization on, the 1-thread LIR differs (par flags are
-  // stripped before the passes, and par loops opt out of strength
-  // reduction), so full identity is j2-vs-j8; Entries/Trips still
-  // match the 1-thread run.
-  std::string Source = readFile(examplePath("wavefront.hac"));
-  auto P1 = profileRun(Source, 1, true);
-  auto P2 = profileRun(Source, 2, true);
-  auto P8 = profileRun(Source, 8, true);
-  expectSameCounters(P2, P8, /*FullIdentity=*/true, "j2 vs j8");
-  expectSameCounters(P1, P2, /*FullIdentity=*/false, "j1 vs j2");
+TEST_F(ProfileTest, CountersIdenticalAcrossThreads) {
+  // Every thread count executes the same LIR, with the passes on or
+  // off, so all four counters must match bit for bit (Nanos naturally
+  // varies). The three programs cover a wave pair whose outer loop
+  // carries a strength-reduced row base, a DOALL whose carried slots
+  // stride two target dimensions, and a backward inner loop.
+  for (const char *Name :
+       {"wavefront.hac", "coupled_scatter.hac", "backward_inner.hac"}) {
+    const std::string Source = readFile(examplePath(Name));
+    for (bool Optimize : {true, false}) {
+      const std::string What =
+          std::string(Name) + (Optimize ? " passes on" : " passes off");
+      auto P1 = profileRun(Source, 1, Optimize);
+      ASSERT_FALSE(P1.empty()) << What;
+      EXPECT_GT(P1[0].RootInstrs, 0u) << What;
+      for (unsigned Threads : {2u, 8u})
+        expectSameCounters(P1, profileRun(Source, Threads, Optimize),
+                           What + " j1 vs j" + std::to_string(Threads));
+    }
+  }
 }
 
 //===--------------------------------------------------------------------===//
@@ -448,8 +446,9 @@ TEST_F(ProfileTest, TimelineJsonSortedAndBalanced) {
     }
     ASSERT_TRUE(Ph == "\"B\"" || Ph == "\"E\"") << Line;
     uint64_t Ts = parseTs(eventField(Line, "ts"));
-    if (SawTs)
+    if (SawTs) {
       EXPECT_GE(Ts, LastTs) << "timestamps must ascend: " << Line;
+    }
     LastTs = Ts;
     SawTs = true;
     std::string Name = eventField(Line, "name");
