@@ -4,7 +4,9 @@
 //
 //  1. Steady state — once a kernel is hot-swapped in, how much faster is
 //     a run than the LIR evaluator on the same post-pass program?
-//     (BM_*Interp vs BM_*JitWarm on Jacobi and the wavefront.)
+//     (BM_*Interp vs BM_*JitWarm on Jacobi and the wavefront.) The
+//     BM_*JitWarm rows of the three recurrences — wavefront, in-place
+//     SOR, §5's backward inner loop — are E24's per-kernel native view.
 //
 //  2. Cold start — what does the first run cost when cc has to compile
 //     the kernel, and how much of that the content-addressed disk cache
@@ -56,12 +58,14 @@ struct ScratchCache {
 
 /// Steady-state sweep: one executor, JIT tier as given, warmed up once
 /// (so cc and the tier swap happen outside the timed region), then
-/// timed per run.
+/// timed per run. With \p InPlace the result overwrites a copy of
+/// \p Input (compileArrayInPlace over `b`) run after run.
 void runTiered(benchmark::State &State, const std::string &Source,
                jit::JitMode Mode, unsigned Threads,
-               const DoubleArray *Input) {
+               const DoubleArray *Input, bool InPlace = false) {
   Compiler TheCompiler;
-  auto Compiled = TheCompiler.compileArray(Source);
+  auto Compiled = InPlace ? TheCompiler.compileArrayInPlace(Source, "b")
+                          : TheCompiler.compileArray(Source);
   if (!Compiled || !Compiled->Thunkless) {
     State.SkipWithError("kernel did not compile thunklessly");
     return;
@@ -73,16 +77,22 @@ void runTiered(benchmark::State &State, const std::string &Source,
   Exec.setNumThreads(Threads);
   Exec.setJitMode(Mode);
   Exec.setJitCompiler(&JC);
-  if (Input)
-    Exec.bindInput("b", Input);
   DoubleArray Out;
+  if (InPlace)
+    Out = *Input;
+  else if (Input)
+    Exec.bindInput("b", Input);
   std::string Err;
-  if (!Compiled->evaluate(Out, Exec, Err)) {
+  auto Sweep = [&] {
+    return InPlace ? Compiled->evaluateInPlace(Out, Exec, Err)
+                   : Compiled->evaluate(Out, Exec, Err);
+  };
+  if (!Sweep()) {
     State.SkipWithError(Err.c_str());
     return;
   }
   for (auto _ : State) {
-    if (!Compiled->evaluate(Out, Exec, Err))
+    if (!Sweep())
       State.SkipWithError(Err.c_str());
     benchmark::DoNotOptimize(Out.data());
     benchmark::ClobberMemory();
@@ -130,7 +140,21 @@ static void BM_WavefrontJitWarm(benchmark::State &State) {
   const int64_t N = State.range(0);
   runTiered(State, wavefrontSource(N), jit::JitMode::Sync, 1, nullptr);
 }
-BENCHMARK(BM_WavefrontJitWarm)->Arg(64)->Arg(128)->Arg(256);
+BENCHMARK(BM_WavefrontJitWarm)->Arg(64)->Arg(128)->Arg(256)->Arg(1024);
+
+static void BM_SorJitWarm(benchmark::State &State) {
+  const int64_t N = State.range(0);
+  DoubleArray B = makeGrid(N);
+  runTiered(State, sorSource(N), jit::JitMode::Sync, 1, &B,
+            /*InPlace=*/true);
+}
+BENCHMARK(BM_SorJitWarm)->Arg(256)->Arg(1024);
+
+static void BM_Sec5JitWarm(benchmark::State &State) {
+  const int64_t N = State.range(0);
+  runTiered(State, sec5Ex2Source(N), jit::JitMode::Sync, 1, nullptr);
+}
+BENCHMARK(BM_Sec5JitWarm)->Arg(256)->Arg(1024);
 
 //===--------------------------------------------------------------------===//
 // Cold start vs warm disk cache

@@ -86,8 +86,10 @@ struct CEmitResult {
 /// re-seeds the loop's carried slots (lir::carriedSlots) from copies
 /// saved before the construct. The pragmas are ignored by compilers
 /// without OpenMP support, and the parallel code computes the same
-/// values in either case; with \p Threads <= 1 the kernel is the plain
-/// serial rendering.
+/// values in either case. With \p Threads <= 1 the kernel has no OpenMP
+/// at all: DOALL loops are plain loops, and each wave pair is swept in
+/// strips of eight outer rows, front by front within a strip, with the
+/// same per-cell code.
 CEmitResult emitC(const ExecPlan &Plan, const std::string &FunctionName,
                   const ParamEnv &Params,
                   const std::map<std::string, ArrayDims> &InputDims = {},
@@ -98,24 +100,29 @@ struct KernelEmitOptions {
   /// When non-zero the kernel is a parallel one: OpenMP is pinned to
   /// this many threads (matching the evaluator's pool size, so stats
   /// and scheduling are comparable) and the count participates in the
-  /// kernel cache key. Zero means a serial kernel.
+  /// kernel cache key. Zero means a serial kernel: no OpenMP, DOALL
+  /// flags ignored, wave pairs swept in strips of rows.
   unsigned Threads = 0;
 };
 
 /// Renders an already-lowered, optimized, and sealed LIR program as a
 /// native kernel — the only C printer. It runs no pipeline of its own:
 /// the caller hands over the exact program the evaluator executes
-/// (after lir::legalizeKernel, which also yields Opts.Threads) and gets
-/// C with the four-argument kernel ABI
+/// (after lir::legalizeKernel, which also yields Opts.Threads; a serial
+/// kernel renders its wave pairs as strips, see emitC) and gets C with
+/// the four-argument kernel ABI
 ///
 /// \code
 ///   int NAME(double *target, const double *const *inputs,
 ///            unsigned char *defined, unsigned long long *stats);
 /// \endcode
 ///
-/// where `defined` is the caller's defined-bits bitmap (may be null;
-/// all accesses are guarded, mirroring the evaluator's hasDefinedBits
-/// guards) and `stats` is an 8-slot counter block the kernel adds into
+/// where `defined` is the caller's defined-bits bitmap. The kernel
+/// touches it only when the program has a bitmap duty (P.HasDefined:
+/// collision or empties checks); the parameter is then `restrict` and
+/// must be non-null, and every store marks its cell unconditionally.
+/// Otherwise it is ignored and may be null. `stats` is an 8-slot
+/// counter block the kernel adds into
 /// on every exit path — [loads, stores, ring_saves, snapshot_copies,
 /// bounds_checks, collision_checks, guard_evals, fused_iters] — so
 /// ExecStats survive the tier swap. Every check renders as a real C

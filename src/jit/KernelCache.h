@@ -38,8 +38,13 @@ namespace hac {
 namespace jit {
 
 /// Bumped whenever the generated kernel ABI or the meaning of cached
-/// bytes changes; part of both the content hash and the MANIFEST.
-constexpr unsigned KernelAbiVersion = 1;
+/// bytes changes; part of both the content hash and the MANIFEST. The
+/// key hashes the LIR text, not the C, so any change to the C that a
+/// given LIR text renders to must bump it too — otherwise a disk cache
+/// filled by the old printer keeps serving the old kernels.
+/// 2: `defined` is written only under LIRProgram::HasDefined (then
+///    unguarded and `restrict`), serial wave pairs render as strips.
+constexpr unsigned KernelAbiVersion = 2;
 
 /// A content key for one kernel: FNV-1a 64 over the LIR text and the
 /// emission options.

@@ -1197,9 +1197,11 @@ bool lir::buildProgram(const ExecPlan &Plan, const ArrayDims &TargetDims,
 
 unsigned lir::legalizeKernel(LIRProgram &P, unsigned Threads) {
   if (Threads <= 1) {
-    stripParFlags(P);
-    return 0;
+    // A serial kernel runs no DOALL loop, but the printer sweeps each
+    // wave pair in strips of rows, so the pairs stay under the C rules.
+    for (LInst &I : P.Code)
+      I.Flags &= static_cast<uint8_t>(~FlagParDoall);
   }
   legalizePar(P, /*ForC=*/true);
-  return Threads;
+  return Threads <= 1 ? 0 : Threads;
 }

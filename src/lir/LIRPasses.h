@@ -61,8 +61,8 @@ void optimize(LIRProgram &P);
 /// they kept apart may merge and hoist).
 void cleanup(LIRProgram &P);
 
-/// Clears the ParPlanner flags from every instruction. legalizeKernel
-/// calls it for a serial kernel, so 1-thread C never renders a pragma.
+/// Clears the ParPlanner flags from every instruction: the program then
+/// renders as plain nested loops (no wave strips, no pragma).
 void stripParFlags(LIRProgram &P);
 
 /// The carried slots of the loop whose markers sit at \p Begin and
@@ -116,11 +116,13 @@ bool buildProgram(const ExecPlan &Plan, const ArrayDims &TargetDims,
                   std::string &Err);
 
 /// Readies the evaluator's program \p P for the C kernel at \p Threads
-/// evaluator threads: a serial kernel drops the par flags, a parallel
-/// one is re-legalized under the stricter C rules (legalizePar(P,
-/// true)). Returns the OpenMP thread pin for KernelEmitOptions::Threads,
-/// 0 for a serial kernel. The JIT, emitC and hacc's -dump-lir kernel key
-/// all go through here.
+/// evaluator threads and re-legalizes it under the stricter C rules
+/// (legalizePar(P, true)). A serial kernel (\p Threads <= 1) first
+/// drops its DOALL flags and keeps the wave pairs, which the printer
+/// sweeps front by front in strips of rows, without OpenMP. Returns the
+/// OpenMP thread pin for KernelEmitOptions::Threads, 0 for a serial
+/// kernel. The JIT, emitC and hacc's -dump-lir kernel key all go through
+/// here.
 unsigned legalizeKernel(LIRProgram &P, unsigned Threads);
 
 } // namespace lir

@@ -333,7 +333,11 @@ bool Executor::runImpl(const ExecPlan &Plan, DoubleArray &Target,
       ++JitE.Fallbacks;
       HAC_TRACE_COUNT("jit.fallbacks");
     }
-    if (St == jit::KernelEntry::Ready) {
+    // A kernel writes the defined bitmap only for a program with a
+    // bitmap duty (P.HasDefined), and then unguarded; a target its caller
+    // gave no bitmap runs on the evaluator, which skips the bitmap.
+    if (St == jit::KernelEntry::Ready &&
+        (!P.HasDefined || Target.hasDefinedBits())) {
       jit::KernelFn Fn = KE.Fn.load(std::memory_order_acquire);
       // Kernels with faulting checks report failure as an rc code, not
       // a message; snapshot the pre-image so a failed native run can be
@@ -348,7 +352,8 @@ bool Executor::runImpl(const ExecPlan &Plan, DoubleArray &Target,
       }
       unsigned long long KS[jit::KS_Count] = {0};
       const auto T0 = std::chrono::steady_clock::now();
-      int Rc = Fn(Target.data(), InVec.data(), Target.definedData(), KS);
+      int Rc = Fn(Target.data(), InVec.data(),
+                  P.HasDefined ? Target.definedData() : nullptr, KS);
       const uint64_t Nanos = static_cast<uint64_t>(
           std::chrono::duration_cast<std::chrono::nanoseconds>(
               std::chrono::steady_clock::now() - T0)

@@ -12,12 +12,14 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "codegen/CEmitter.h"
 #include "core/Compiler.h"
 #include "core/Module.h"
 #include "jit/Jit.h"
 #include "jit/JitCompiler.h"
 #include "jit/KernelCache.h"
 #include "jit/NativeBuild.h"
+#include "lir/LIRPasses.h"
 #include "parallel/ThreadPool.h"
 #include "runtime/Executor.h"
 
@@ -27,6 +29,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
 
 using namespace hac;
@@ -59,6 +62,43 @@ CompiledArray mustCompile(const std::string &Source) {
   return std::move(*Compiled);
 }
 
+void expectSameStats(const ExecStats &A, const ExecStats &B) {
+  EXPECT_EQ(A.Loads, B.Loads);
+  EXPECT_EQ(A.Stores, B.Stores);
+  EXPECT_EQ(A.RingSaves, B.RingSaves);
+  EXPECT_EQ(A.SnapshotCopies, B.SnapshotCopies);
+  EXPECT_EQ(A.BoundsChecks, B.BoundsChecks);
+  EXPECT_EQ(A.CollisionChecks, B.CollisionChecks);
+  EXPECT_EQ(A.GuardEvals, B.GuardEvals);
+  EXPECT_EQ(A.FusedIters, B.FusedIters);
+}
+
+/// One evaluation of the program under test into its output array.
+using RunFn = std::function<bool(Executor &, DoubleArray &, std::string &)>;
+
+/// Runs \p Run once on the evaluator and once as a native kernel built
+/// by \p JC, both at \p Threads threads, and requires the same result
+/// bits and the same eight ExecStats counters.
+void expectNativeMatchesEvaluator(const ParamEnv &Params, const RunFn &Run,
+                                  jit::JitCompiler &JC,
+                                  unsigned Threads = 1) {
+  Executor Interp(Params);
+  Interp.setNumThreads(Threads);
+  DoubleArray Ref, Out;
+  std::string Err;
+  ASSERT_TRUE(Run(Interp, Ref, Err)) << Err;
+  Executor Native(Params);
+  Native.setNumThreads(Threads);
+  Native.setJitMode(jit::JitMode::Sync);
+  Native.setJitCompiler(&JC);
+  ASSERT_TRUE(Run(Native, Out, Err)) << Err;
+  ASSERT_EQ(Native.jitStats().NativeRuns, 1u);
+  ASSERT_EQ(Ref.size(), Out.size());
+  EXPECT_EQ(std::memcmp(Ref.data(), Out.data(), Ref.size() * sizeof(double)),
+            0);
+  expectSameStats(Interp.stats(), Native.stats());
+}
+
 /// Runs \p Compiled twice — interpreter-only and under \p JC with the
 /// given tier policy — and requires bit-identical results plus an exact
 /// ExecStats counter match.
@@ -88,27 +128,35 @@ void checkTierParity(const CompiledArray &Compiled, jit::JitCompiler &JC,
   for (size_t I = 0; I != Ref.size(); ++I)
     ASSERT_EQ(Ref[I], Out[I]) << "element " << I;
 
-  // Counter parity is per-run; compare against a fresh interpreter run
-  // so async's extra warm-up runs don't skew the totals.
-  Executor InterpOnce(Compiled.Params);
-  InterpOnce.setNumThreads(Threads);
-  ASSERT_TRUE(Compiled.evaluate(Ref, InterpOnce, Err)) << Err;
-  Executor NativeOnce(Compiled.Params);
-  NativeOnce.setNumThreads(Threads);
-  NativeOnce.setJitMode(jit::JitMode::Sync);
-  NativeOnce.setJitCompiler(&JC);
-  ASSERT_TRUE(Compiled.evaluate(Out, NativeOnce, Err)) << Err;
-  ASSERT_EQ(NativeOnce.jitStats().NativeRuns, 1u);
-  const ExecStats &A = InterpOnce.stats();
-  const ExecStats &B = NativeOnce.stats();
-  EXPECT_EQ(A.Loads, B.Loads);
-  EXPECT_EQ(A.Stores, B.Stores);
-  EXPECT_EQ(A.RingSaves, B.RingSaves);
-  EXPECT_EQ(A.SnapshotCopies, B.SnapshotCopies);
-  EXPECT_EQ(A.BoundsChecks, B.BoundsChecks);
-  EXPECT_EQ(A.CollisionChecks, B.CollisionChecks);
-  EXPECT_EQ(A.GuardEvals, B.GuardEvals);
-  EXPECT_EQ(A.FusedIters, B.FusedIters);
+  // Counter parity is per-run; compare fresh executors so async's extra
+  // warm-up runs don't skew the totals.
+  expectNativeMatchesEvaluator(
+      Compiled.Params,
+      [&](Executor &E, DoubleArray &Res, std::string &Msg) {
+        return Compiled.evaluate(Res, E, Msg);
+      },
+      JC, Threads);
+}
+
+/// The C the JIT renders for \p Plan over \p Dims at \p Threads.
+std::string kernelC(const ExecPlan &Plan, const ArrayDims &Dims,
+                    const ParamEnv &Params, unsigned Threads) {
+  lir::LIRProgram P;
+  std::string Err;
+  EXPECT_TRUE(lir::buildProgram(Plan, Dims, Params, {}, {}, P, Err)) << Err;
+  KernelEmitOptions KOpts;
+  KOpts.Threads = lir::legalizeKernel(P, Threads);
+  CEmitResult C = emitKernelC(P, "hac_kernel", KOpts);
+  EXPECT_TRUE(C.OK) << C.Error;
+  return C.Code;
+}
+
+/// A deterministic grid of distinct values.
+DoubleArray grid(int64_t Rows, int64_t Cols) {
+  DoubleArray G(DoubleArray::Dims{{1, Rows}, {1, Cols}});
+  for (size_t I = 0; I != G.size(); ++I)
+    G[I] = 0.25 * static_cast<double>((I * 37) % 101);
+  return G;
 }
 
 const char *WavefrontSource =
@@ -321,7 +369,156 @@ TEST(JitExecTest, FailingCheckMatchesInterpreterExactly) {
   EXPECT_FALSE(Compiled->evaluate(Out, Jitted, JitErr));
   EXPECT_EQ(InterpErr, JitErr);
   EXPECT_NE(JitErr.find("collision"), std::string::npos) << JitErr;
-  EXPECT_EQ(Interp.stats().CollisionChecks, Jitted.stats().CollisionChecks);
+  EXPECT_EQ(Jitted.jitStats().NativeRuns, 0u);
+  EXPECT_EQ(Jitted.jitStats().InterpRuns, 1u);
+  expectSameStats(Interp.stats(), Jitted.stats());
+}
+
+TEST(JitExecTest, SerialWaveStripsMatchEvaluator) {
+  // A 1-thread kernel sweeps each wave pair front by front in strips of
+  // eight outer rows. Trip counts around the strip height (and ragged
+  // last strips, rectangular grids) must give the evaluator's bits and
+  // counters, from C with no OpenMP and no bitmap writes.
+  ScratchCacheDir D("strips");
+  jit::JitCompiler JC({D.str(), 256ull << 20});
+  for (int64_t T1 : {1, 2, 7, 8, 9, 16, 17})
+    for (int64_t T2 : {int64_t(1), int64_t(5), T1, int64_t(12)}) {
+      SCOPED_TRACE("T1=" + std::to_string(T1) + " T2=" + std::to_string(T2));
+      // Wavefront: rows 2..m and columns 2..n are the wave pair.
+      const std::string M = std::to_string(T1 + 1), N = std::to_string(T2 + 1);
+      Compiler WC;
+      auto Wave = WC.compileArray(
+          "letrec* a = array ((1,1),(" + M + "," + N + ")) "
+          "([ (1,j) := 1.5 | j <- [1.." + N + "] ] ++ "
+          " [ (i,1) := 1.5 | i <- [2.." + M + "] ] ++ "
+          " [ (i,j) := (a!(i-1,j) + a!(i,j-1) + a!(i-1,j-1)) / 3.0 "
+          "   | i <- [2.." + M + "], j <- [2.." + N + "] ]) in a");
+      ASSERT_TRUE(Wave && Wave->Thunkless) << WC.diags().str();
+      // In-place SOR: rows 2..m-1 and columns 2..n-1 are the wave pair.
+      const int64_t Rows = T1 + 2, Cols = T2 + 2;
+      const std::string R = std::to_string(Rows), C = std::to_string(Cols);
+      Compiler SC;
+      auto Sor = SC.compileArrayInPlace(
+          "letrec* a = array ((1,1),(" + R + "," + C + ")) "
+          "([ (1,j) := b!(1,j) | j <- [1.." + C + "] ] ++ "
+          " [ (" + R + ",j) := b!(" + R + ",j) | j <- [1.." + C + "] ] ++ "
+          " [ (i,1) := b!(i,1) | i <- [2.." + R + "-1] ] ++ "
+          " [ (i," + C + ") := b!(i," + C + ") | i <- [2.." + R + "-1] ] ++ "
+          " [ (i,j) := (a!(i-1,j) + a!(i,j-1) + b!(i+1,j) + b!(i,j+1)) / 4.0"
+          "   | i <- [2.." + R + "-1], j <- [2.." + C + "-1] ]) in a",
+          "b");
+      ASSERT_TRUE(Sor && Sor->Thunkless) << SC.diags().str();
+
+      for (const CompiledArray *A : {&*Wave, &*Sor}) {
+        const std::string Code = kernelC(A->Plan, A->Dims, A->Params, 1);
+        // One row carries no outer dependence: the planner makes it DOALL.
+        if (T1 >= 2) {
+          EXPECT_NE(Code.find("hac_s0 += (8LL)"), std::string::npos)
+              << "the wave pair lost its strips:\n" << Code;
+        }
+        EXPECT_EQ(Code.find("#pragma omp"), std::string::npos);
+        EXPECT_EQ(Code.find("omp_"), std::string::npos);
+        EXPECT_EQ(Code.find("defined["), std::string::npos);
+      }
+      expectNativeMatchesEvaluator(
+          Wave->Params,
+          [&](Executor &E, DoubleArray &Out, std::string &Err) {
+            return Wave->evaluate(Out, E, Err);
+          },
+          JC);
+      expectNativeMatchesEvaluator(
+          Sor->Params,
+          [&](Executor &E, DoubleArray &Out, std::string &Err) {
+            Out = grid(Rows, Cols);
+            return Sor->evaluateInPlace(Out, E, Err);
+          },
+          JC);
+    }
+}
+
+TEST(JitExecTest, EmptiesReportedNatively) {
+  // Elements 6..9 are never written. The kernel marks its bitmap
+  // unguarded and finishes; the empties sweep after it names the hole.
+  Compiler C;
+  auto A = C.compileArray(
+      "letrec* a = array (1,9) [ i := 1.0 | i <- [1..5] ] in a");
+  ASSERT_TRUE(A && A->Thunkless && A->Plan.CheckEmpties);
+  const std::string Code = kernelC(A->Plan, A->Dims, A->Params, 1);
+  EXPECT_NE(Code.find("unsigned char *restrict defined"), std::string::npos);
+  EXPECT_NE(Code.find("  defined[t"), std::string::npos);
+  EXPECT_EQ(Code.find("if (defined)"), std::string::npos);
+
+  Executor Interp(A->Params);
+  DoubleArray Ref, Out;
+  std::string InterpErr, JitErr;
+  EXPECT_FALSE(A->evaluate(Ref, Interp, InterpErr));
+  ScratchCacheDir D("empties");
+  jit::JitCompiler JC({D.str(), 256ull << 20});
+  Executor Jitted(A->Params);
+  Jitted.setJitMode(jit::JitMode::Sync);
+  Jitted.setJitCompiler(&JC);
+  EXPECT_FALSE(A->evaluate(Out, Jitted, JitErr));
+  EXPECT_EQ(InterpErr, JitErr);
+  EXPECT_NE(JitErr.find("empty"), std::string::npos) << JitErr;
+  EXPECT_EQ(Jitted.jitStats().NativeRuns, 1u);
+  expectSameStats(Interp.stats(), Jitted.stats());
+}
+
+TEST(JitExecTest, UpdateOnTargetWithStaleBitmap) {
+  // A checked construction leaves its bitmap on the target; a later
+  // check-free update has no bitmap duty, so its kernel never touches
+  // the bitmap, and both tiers still agree on values and counters.
+  CompileOptions Options;
+  Options.EnableCheckElimination = false;
+  Compiler BC(Options);
+  auto Build = BC.compileArray(
+      "let n = 16 in letrec* a = array ((1,1),(n,n)) "
+      "[ (i,j) := i * 0.5 + j | i <- [1..n], j <- [1..n] ] in a");
+  ASSERT_TRUE(Build && Build->Thunkless);
+  ASSERT_TRUE(Build->Plan.CheckCollisions && Build->Plan.CheckEmpties);
+  Executor BuildExec(Build->Params);
+  DoubleArray Start;
+  std::string Err;
+  ASSERT_TRUE(Build->evaluate(Start, BuildExec, Err)) << Err;
+  ASSERT_TRUE(Start.hasDefinedBits());
+
+  Compiler UC;
+  auto Upd = UC.compileUpdate(
+      "let n = 16 in bigupd a [ (i,j) := (a!(i-1,j) + a!(i+1,j) + "
+      "a!(i,j-1) + a!(i,j+1)) / 4.0 | i <- [2..n-1], j <- [2..n-1] ]");
+  ASSERT_TRUE(Upd && Upd->InPlace) << UC.diags().str();
+  ASSERT_FALSE(Upd->Plan.CheckCollisions || Upd->Plan.CheckEmpties);
+  ScratchCacheDir D("stale");
+  jit::JitCompiler JC({D.str(), 256ull << 20});
+  expectNativeMatchesEvaluator(
+      Upd->Params,
+      [&](Executor &E, DoubleArray &Out, std::string &Msg) {
+        Out = Start;
+        return Upd->evaluateInPlace(Out, E, Msg);
+      },
+      JC);
+}
+
+TEST(JitExecTest, BitmapDutyWithoutTargetBitmapInterprets) {
+  // A caller that runs a checked plan on a target without a bitmap gets
+  // the evaluator (which skips the bitmap there): the kernel would
+  // write the bitmap unguarded.
+  Compiler C;
+  auto A = C.compileArray(
+      "letrec* a = array (1,9) [ i := 1.0 | i <- [1..5] ] in a");
+  ASSERT_TRUE(A && A->Thunkless && A->Plan.CheckEmpties);
+  ScratchCacheDir D("nobitmap");
+  jit::JitCompiler JC({D.str(), 256ull << 20});
+  Executor Exec(A->Params);
+  Exec.setJitMode(jit::JitMode::Sync);
+  Exec.setJitCompiler(&JC);
+  DoubleArray Out(A->Dims);
+  std::string Err;
+  ASSERT_TRUE(Exec.run(A->Plan, Out, Err)) << Err;
+  EXPECT_EQ(Exec.jitStats().NativeRuns, 0u);
+  EXPECT_EQ(Exec.jitStats().InterpRuns, 1u);
+  EXPECT_EQ(Out[4], 1.0);
+  EXPECT_FALSE(Out.hasDefinedBits());
 }
 
 //===----------------------------------------------------------------------===//
@@ -446,8 +643,18 @@ TEST(KernelCacheTest, ManifestVersionMismatchPurges) {
     std::string Err;
     ASSERT_TRUE(Compiled.evaluate(Out, Exec, Err)) << Err;
   }
+  // Restamp the entry and the MANIFEST as the previous version wrote
+  // them. The key hashes the LIR text, not the C, so a printer change
+  // that keeps the LIR text bumps KernelAbiVersion, and an object the
+  // old printer committed is then never served.
+  const unsigned Old = jit::KernelAbiVersion - 1;
+  for (const auto &E : fs::directory_iterator(D.Dir))
+    if (E.path().extension() == ".meta")
+      std::ofstream(E.path(), std::ios::trunc)
+          << "hac-kernel " << Old << "\nkey " << E.path().stem().string()
+          << "\nsymbol hac_kernel\n";
   std::ofstream(D.Dir / "MANIFEST", std::ios::trunc)
-      << "hac-kernel-cache 9999\n";
+      << "hac-kernel-cache " << Old << "\n";
   jit::JitCompiler Fresh({D.str(), 256ull << 20});
   {
     Executor Exec(Compiled.Params);
@@ -466,7 +673,7 @@ TEST(KernelCacheTest, ManifestVersionMismatchPurges) {
   std::ifstream Manifest(D.Dir / "MANIFEST");
   std::string Line;
   std::getline(Manifest, Line);
-  EXPECT_EQ(Line, "hac-kernel-cache 1");
+  EXPECT_EQ(Line, "hac-kernel-cache " + std::to_string(jit::KernelAbiVersion));
   unsigned Objects = 0;
   for (const auto &E : fs::directory_iterator(D.Dir))
     if (E.path().extension() == ".so")
