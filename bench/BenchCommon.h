@@ -21,8 +21,11 @@
 #include "parallel/ThreadPool.h"
 #include "support/Trace.h"
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <utility>
@@ -138,6 +141,22 @@ benchJsonRow(const std::string &Name,
     return 0;                                                               \
   }                                                                         \
   static_assert(true, "require a trailing semicolon")
+
+/// A scratch kernel-cache directory, fresh per construction and removed
+/// at destruction, so JIT benches never touch the user's kernel cache.
+struct ScratchCache {
+  std::filesystem::path Dir;
+  explicit ScratchCache(const std::string &Tag) {
+    Dir = std::filesystem::temp_directory_path() /
+          ("hac-bench-jit-" + Tag + "-" + std::to_string(::getpid()));
+    std::filesystem::remove_all(Dir);
+    std::filesystem::create_directories(Dir);
+  }
+  ~ScratchCache() {
+    std::error_code EC;
+    std::filesystem::remove_all(Dir, EC);
+  }
+};
 
 /// Section 3's wavefront recurrence over an n x n grid.
 inline std::string wavefrontSource(int64_t N) {

@@ -18,6 +18,10 @@
 //  3. Threads — the kernels carry the same OpenMP pragmas the emitted-C
 //     backend uses; BM_JacobiJitWarm/threads:4 shows the parallel tier.
 //
+//  4. Storage — the *JitWarm rows sweep into one reused result array;
+//     the *FreshOut foils (Jacobi and the wavefront at n=1024) allocate
+//     a new one per sweep, which E25 measures against.
+//
 // Every benchmark injects a private JitCompiler against a scratch cache
 // directory; nothing touches the user's kernel cache.
 //
@@ -30,7 +34,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <filesystem>
 #include <memory>
 #include <string>
 
@@ -38,31 +41,21 @@ using namespace hacbench;
 
 namespace {
 
-namespace fs = std::filesystem;
-
-/// A scratch kernel-cache directory, fresh per construction.
-struct ScratchCache {
-  fs::path Dir;
-  explicit ScratchCache(const char *Tag) {
-    Dir = fs::temp_directory_path() /
-          (std::string("hac-bench-jit-") + Tag + "-" +
-           std::to_string(::getpid()));
-    fs::remove_all(Dir);
-    fs::create_directories(Dir);
-  }
-  ~ScratchCache() {
-    std::error_code EC;
-    fs::remove_all(Dir, EC);
-  }
+/// Where a sweep writes its result.
+enum class Target {
+  Reused,  ///< one result array, reshaped in place run after run
+  Fresh,   ///< a new result array per run (the allocation foil)
+  InPlace, ///< a copy of \p Input, overwritten (compileArrayInPlace)
 };
 
 /// Steady-state sweep: one executor, JIT tier as given, warmed up once
 /// (so cc and the tier swap happen outside the timed region), then
-/// timed per run. With \p InPlace the result overwrites a copy of
+/// timed per run. With Target::InPlace the result overwrites a copy of
 /// \p Input (compileArrayInPlace over `b`) run after run.
 void runTiered(benchmark::State &State, const std::string &Source,
                jit::JitMode Mode, unsigned Threads,
-               const DoubleArray *Input, bool InPlace = false) {
+               const DoubleArray *Input, Target T = Target::Reused) {
+  const bool InPlace = T == Target::InPlace;
   Compiler TheCompiler;
   auto Compiled = InPlace ? TheCompiler.compileArrayInPlace(Source, "b")
                           : TheCompiler.compileArray(Source);
@@ -71,7 +64,7 @@ void runTiered(benchmark::State &State, const std::string &Source,
     return;
   }
   static int Seq = 0;
-  ScratchCache Cache(("tier-" + std::to_string(Seq++)).c_str());
+  ScratchCache Cache("tier-" + std::to_string(Seq++));
   jit::JitCompiler JC({Cache.Dir.string(), 256ull << 20});
   Executor Exec(Compiled->Params);
   Exec.setNumThreads(Threads);
@@ -92,6 +85,8 @@ void runTiered(benchmark::State &State, const std::string &Source,
     return;
   }
   for (auto _ : State) {
+    if (T == Target::Fresh)
+      Out = DoubleArray();
     if (!Sweep())
       State.SkipWithError(Err.c_str());
     benchmark::DoNotOptimize(Out.data());
@@ -120,7 +115,17 @@ static void BM_JacobiJitWarm(benchmark::State &State) {
   DoubleArray B = makeGrid(N);
   runTiered(State, jacobiDoallSource(N), jit::JitMode::Sync, 1, &B);
 }
-BENCHMARK(BM_JacobiJitWarm)->Arg(64)->Arg(128)->Arg(256);
+BENCHMARK(BM_JacobiJitWarm)->Arg(64)->Arg(128)->Arg(256)->Arg(1024);
+
+// Foil: a new result array per sweep pays the allocation and its page
+// faults that the BM_JacobiJitWarm rows, which reuse one result, skip.
+static void BM_JacobiJitWarmFreshOut(benchmark::State &State) {
+  const int64_t N = State.range(0);
+  DoubleArray B = makeGrid(N);
+  runTiered(State, jacobiDoallSource(N), jit::JitMode::Sync, 1, &B,
+            Target::Fresh);
+}
+BENCHMARK(BM_JacobiJitWarmFreshOut)->Arg(1024);
 
 static void BM_JacobiJitWarmThreads(benchmark::State &State) {
   const int64_t N = 256;
@@ -142,11 +147,18 @@ static void BM_WavefrontJitWarm(benchmark::State &State) {
 }
 BENCHMARK(BM_WavefrontJitWarm)->Arg(64)->Arg(128)->Arg(256)->Arg(1024);
 
+static void BM_WavefrontJitWarmFreshOut(benchmark::State &State) {
+  const int64_t N = State.range(0);
+  runTiered(State, wavefrontSource(N), jit::JitMode::Sync, 1, nullptr,
+            Target::Fresh);
+}
+BENCHMARK(BM_WavefrontJitWarmFreshOut)->Arg(1024);
+
 static void BM_SorJitWarm(benchmark::State &State) {
   const int64_t N = State.range(0);
   DoubleArray B = makeGrid(N);
   runTiered(State, sorSource(N), jit::JitMode::Sync, 1, &B,
-            /*InPlace=*/true);
+            Target::InPlace);
 }
 BENCHMARK(BM_SorJitWarm)->Arg(256)->Arg(1024);
 

@@ -14,10 +14,16 @@
 // bytes each policy touched. The interpreter lane runs the same program
 // thunked for the thunked-vs-module headline.
 //
+// E25 adds the native pair: BM_ModuleNativeReusedOut sweeps the module's
+// kernels into one result array reshaped in place run after run (pool
+// slots are never prefilled), BM_ModuleNativeFreshOut allocates a new
+// result per run.
+//
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
 #include "core/Module.h"
+#include "jit/JitCompiler.h"
 
 #include <benchmark/benchmark.h>
 
@@ -74,6 +80,48 @@ void BM_ModuleNoReuse(benchmark::State &State) {
   runModuleBench(State, /*ReuseBuffers=*/false);
 }
 BENCHMARK(BM_ModuleNoReuse)->Arg(1 << 10)->Arg(1 << 16);
+
+/// The reuse-planned module as native kernels (JIT sync, private kernel
+/// cache), warmed once so cc runs outside the timed region. With
+/// \p FreshOut every run writes a new result array (the allocation
+/// foil); otherwise the previous run's result is reshaped in place.
+void runNativeModule(benchmark::State &State, bool FreshOut) {
+  int64_t N = State.range(0);
+  CompiledModule M = mustCompileModule(pipelineSource(N));
+  ScratchCache Cache("module-" + std::to_string(N) +
+                     (FreshOut ? "-fresh" : "-reused"));
+  jit::JitCompiler JC({Cache.Dir.string(), 256ull << 20});
+  Executor Exec(M.Params);
+  Exec.setJitMode(jit::JitMode::Sync);
+  Exec.setJitCompiler(&JC);
+  DoubleArray Out;
+  std::string Err;
+  ModuleRunStats Stats;
+  if (!evaluateModule(M, {}, Exec, Out, Err, &Stats)) {
+    State.SkipWithError(Err.c_str());
+    return;
+  }
+  for (auto _ : State) {
+    if (FreshOut)
+      Out = DoubleArray();
+    if (!evaluateModule(M, {}, Exec, Out, Err, &Stats))
+      State.SkipWithError(Err.c_str());
+    benchmark::DoNotOptimize(Out.data());
+    benchmark::ClobberMemory();
+  }
+  State.counters["native_runs"] = static_cast<double>(Stats.JitNativeRuns);
+  State.counters["peak_bytes"] = static_cast<double>(Stats.PeakBytes);
+}
+
+void BM_ModuleNativeReusedOut(benchmark::State &State) {
+  runNativeModule(State, /*FreshOut=*/false);
+}
+BENCHMARK(BM_ModuleNativeReusedOut)->Arg(1 << 16)->Arg(1 << 20);
+
+void BM_ModuleNativeFreshOut(benchmark::State &State) {
+  runNativeModule(State, /*FreshOut=*/true);
+}
+BENCHMARK(BM_ModuleNativeFreshOut)->Arg(1 << 16)->Arg(1 << 20);
 
 void BM_ModuleThunked(benchmark::State &State) {
   int64_t N = State.range(0);

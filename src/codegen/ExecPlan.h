@@ -31,6 +31,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -149,6 +150,10 @@ struct ExecPlan {
   /// True for in-place updates (bigupd): the target starts defined and
   /// collisions are sequencing, not errors.
   bool InPlace = false;
+
+  /// Set for accumArray constructions: untouched elements hold this
+  /// initial value, which the Executor prefills the target with.
+  std::optional<double> AccumInit;
 
   /// Unique identity assigned by the plan builders. The Executor's LIR
   /// cache keys on it, so two plans that happen to reuse the same stack

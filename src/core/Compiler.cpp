@@ -254,7 +254,6 @@ Compiler::compileAccum(const std::string &Source) {
     }
     InitValue = static_cast<double>(IV);
   }
-  Result.AccumInit = InitValue;
 
   // Inline the combining function into every pair value.
   ExprPtr Transformed =
@@ -296,9 +295,12 @@ Compiler::compileAccum(const std::string &Source) {
   stages::planAndFinish(
       Ctx, Result.Plan,
       [&] {
-        return buildArrayPlan(Result.Nest, Result.Sched, Result.Name,
-                              Result.Dims, Result.Collisions, EffCoverage,
-                              Result.ReadBounds);
+        ExecPlan Plan =
+            buildArrayPlan(Result.Nest, Result.Sched, Result.Name,
+                           Result.Dims, Result.Collisions, EffCoverage,
+                           Result.ReadBounds);
+        Plan.AccumInit = InitValue;
+        return Plan;
       },
       {}, Result.Dims, Result.Params);
   return Result;
@@ -378,12 +380,7 @@ bool CompiledArray::evaluate(DoubleArray &Out, Executor &Exec,
     Err = "array was not compiled thunklessly: " + FallbackReason;
     return false;
   }
-  Out = DoubleArray(Dims);
-  if (IsAccum) {
-    HAC_TRACE_SPAN(PrefillSpan, "accum.prefill");
-    for (size_t I = 0; I != Out.size(); ++I)
-      Out[I] = AccumInit;
-  }
+  Out.reshape(Dims);
   if (Plan.CheckCollisions || Plan.CheckEmpties)
     Out.enableDefinedBits();
   return Exec.run(Plan, Out, Err);

@@ -104,18 +104,21 @@ struct CompiledArray {
   std::string FallbackReason;
   ExecPlan Plan; ///< valid only when Thunkless
 
-  /// Set by compileAccum: the target is an accumulated array whose
-  /// untouched elements hold this initial value (pre-filled at run time).
+  /// Set by compileAccum: the target is an accumulated array. A
+  /// thunkless one's plan carries the initial value its untouched
+  /// elements hold (ExecPlan::AccumInit).
   bool IsAccum = false;
-  double AccumInit = 0.0;
 
   /// Set by compileArrayInPlace: the construction overwrites the storage
   /// of this input array (Section 9's storage-reuse case).
   std::string ReuseName;
   UpdateSchedule InPlaceSched; ///< schedule + splits for the reuse case
 
-  /// Runs the compiled plan into \p Out (sized from Dims automatically).
-  /// Input arrays must have been bound on \p Exec.
+  /// Runs the compiled plan into \p Out, reshaped to Dims in place: an
+  /// \p Out that already has this size keeps its storage, and the run
+  /// writes every element once (the Executor prefills only when the
+  /// program needs defined starting contents). Input arrays must have
+  /// been bound on \p Exec.
   bool evaluate(DoubleArray &Out, Executor &Exec, std::string &Err) const;
 
   /// For in-place constructions: builds the result directly into

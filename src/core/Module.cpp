@@ -368,8 +368,9 @@ bool hac::evaluateModule(
     DoubleArray *Dst;
     if (static_cast<int>(B) == M.ResultIndex) {
       // The result writes straight into the caller's array, outside the
-      // pool (its storage outlives the run).
-      Out = DoubleArray(A.Dims);
+      // pool (its storage outlives the run, and is kept across runs when
+      // the shape matches).
+      Out.reshape(A.Dims);
       Pool.noteExternal(Out.size() * sizeof(double));
       Dst = &Out;
     } else {

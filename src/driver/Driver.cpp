@@ -7,6 +7,8 @@
 #include "frontend/Parser.h"
 #include "support/Casting.h"
 
+#include <algorithm>
+
 using namespace hac;
 
 const char *hac::programKindName(ProgramKind K) {
@@ -131,9 +133,8 @@ DoubleArray ProgramCompiler::startState() const {
     return DoubleArray(Module->result().Array.Dims);
   if (Array) {
     DoubleArray Start(Array->Dims);
-    if (Array->IsAccum)
-      for (size_t I = 0, N = Start.size(); I != N; ++I)
-        Start[I] = Array->AccumInit;
+    if (Array->Plan.AccumInit)
+      std::fill_n(Start.data(), Start.size(), *Array->Plan.AccumInit);
     return Start;
   }
   DoubleArray Start(Update->Plan.Dims);

@@ -37,21 +37,6 @@ uint64_t nowNanos() {
           .count());
 }
 
-/// Whether the program contains a check that can fail mid-run (after
-/// stores have already landed). Drives the Executor's pre-image copy.
-bool programCanFail(const lir::LIRProgram &P) {
-  for (const lir::LInst &I : P.Code)
-    switch (I.Op) {
-    case lir::LOp::CheckIdx:
-    case lir::LOp::CheckNonZeroI:
-    case lir::LOp::CheckCollision:
-      return true;
-    default:
-      break;
-    }
-  return false;
-}
-
 } // namespace
 
 std::shared_ptr<KernelEntry> JitCompiler::acquire(
@@ -77,7 +62,7 @@ std::shared_ptr<KernelEntry> JitCompiler::acquire(
       return It->second;
     }
     Entry = std::make_shared<KernelEntry>();
-    Entry->CanFail = programCanFail(*Prog);
+    Entry->CanFail = lir::canFail(*Prog);
     Entry->KeyHex = Key.hex();
     Table[Key.H] = Entry;
     ++InFlight;

@@ -54,8 +54,8 @@ struct KernelEntry {
 
   std::atomic<int> St{Pending};
   std::atomic<KernelFn> Fn{nullptr};
-  /// The program contains a faulting check (CheckIdx / CheckNonZeroI /
-  /// CheckCollision): callers must snapshot the target before a native
+  /// lir::canFail of the program (a check.idx, check.nonzero or
+  /// check.collision can fire): callers must snapshot the target before a native
   /// run so a nonzero rc can restore and re-run through the evaluator
   /// for the exact error message.
   bool CanFail = false;

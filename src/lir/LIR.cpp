@@ -86,6 +86,21 @@ struct Region {
 
 } // namespace
 
+bool lir::canFail(const LIRProgram &P) {
+  for (const LInst &I : P.Code)
+    switch (I.Op) {
+    case LOp::CheckIdx:
+    case LOp::CheckNonZeroI:
+    case LOp::CheckCollision:
+    case LOp::CheckDefined:
+    case LOp::Fail:
+      return true;
+    default:
+      break;
+    }
+  return false;
+}
+
 bool lir::seal(LIRProgram &P, std::string &Err) {
   std::vector<Region> Stack;
   for (size_t I = 0; I != P.Code.size(); ++I) {

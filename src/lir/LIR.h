@@ -254,6 +254,12 @@ std::string verify(const LIRProgram &P);
 /// Textual rendering (hacc -dump-lir, golden tests).
 std::string printLIR(const LIRProgram &P);
 
+/// Whether a run of \p P can stop mid-run, after some stores have landed:
+/// the program holds a check.idx, check.nonzero, check.collision,
+/// check.defined or fail. Such a run starts from a prefilled target (the
+/// Executor) and a native kernel from a pre-image copy (the JIT).
+bool canFail(const LIRProgram &P);
+
 /// Which slots an instruction writes (0, 1, or 2 of them).
 inline int writtenSlots(const LInst &I, int32_t Out[2]) {
   switch (I.Op) {

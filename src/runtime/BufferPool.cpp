@@ -9,10 +9,7 @@ using namespace hac;
 DoubleArray &BufferPool::acquire(unsigned Slot,
                                  const DoubleArray::Dims &Dims) {
   assert(Slot < Slots.size() && "buffer pool slot out of range");
-  size_t Elems = 1;
-  for (const auto &[Lo, Hi] : Dims)
-    Elems *= Hi >= Lo ? static_cast<size_t>(Hi - Lo + 1) : 0;
-  size_t Bytes = Elems * sizeof(double);
+  const size_t Bytes = DoubleArray::elementCount(Dims) * sizeof(double);
 
   if (Used[Slot]) {
     ++Reuses;
@@ -21,7 +18,7 @@ DoubleArray &BufferPool::acquire(unsigned Slot,
     ++Allocations;
     Used[Slot] = 1;
   }
-  Slots[Slot].reset(Dims);
+  Slots[Slot].reshape(Dims);
   Live[Slot] = Bytes;
   CurBytes += Bytes;
   if (CurBytes > PeakBytes)

@@ -34,9 +34,10 @@ public:
 
   unsigned numSlots() const { return static_cast<unsigned>(Slots.size()); }
 
-  /// Returns slot \p Slot re-shaped (and zero-filled) for \p Dims. A
-  /// first acquire of a slot is a fresh allocation; later acquires
-  /// recycle the previous occupant's storage and count as reuses.
+  /// Returns slot \p Slot re-shaped for \p Dims (DoubleArray::reshape:
+  /// contents unspecified, no defined bitmap). A first acquire of a slot
+  /// is a fresh allocation; later acquires recycle the previous
+  /// occupant's storage and count as reuses.
   DoubleArray &acquire(unsigned Slot, const DoubleArray::Dims &Dims);
 
   /// Folds storage held outside the pool (the module result array) into

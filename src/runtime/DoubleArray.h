@@ -18,6 +18,8 @@
 
 #include <cassert>
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <string>
 #include <utility>
 #include <vector>
@@ -30,24 +32,32 @@ public:
   using Dims = std::vector<std::pair<int64_t, int64_t>>;
 
   DoubleArray() = default;
+  /// A zero-filled array of shape \p TheDims.
   explicit DoubleArray(Dims TheDims) : Bounds(std::move(TheDims)) {
-    size_t Size = 1;
-    for (const auto &[Lo, Hi] : Bounds)
-      Size *= Hi >= Lo ? static_cast<size_t>(Hi - Lo + 1) : 0;
-    Data.assign(Size, 0.0);
+    Data.assign(elementCount(Bounds), 0.0);
   }
 
-  /// Re-shapes to \p TheDims, reusing the existing heap allocation when
-  /// its capacity suffices (the module buffer pool recycles dead
-  /// intermediates this way). Elements are zero-filled and the defined
-  /// bitmap is dropped — observationally identical to constructing a
-  /// fresh DoubleArray(TheDims).
-  void reset(Dims TheDims) {
-    Bounds = std::move(TheDims);
+  /// Number of elements of an array of shape \p TheDims.
+  static size_t elementCount(const Dims &TheDims) {
     size_t Size = 1;
-    for (const auto &[Lo, Hi] : Bounds)
+    for (const auto &[Lo, Hi] : TheDims)
       Size *= Hi >= Lo ? static_cast<size_t>(Hi - Lo + 1) : 0;
-    Data.assign(Size, 0.0);
+    return Size;
+  }
+
+  /// Re-shapes to \p TheDims for a run that overwrites the storage. The
+  /// heap allocation is kept when its capacity suffices (sweeps into one
+  /// result and the module buffer pool recycle storage this way); element
+  /// values are unspecified afterwards, since growth is left
+  /// uninitialised, and the defined bitmap is dropped. The Executor
+  /// prefills a construction target whose program needs defined starting
+  /// contents.
+  void reshape(Dims TheDims) {
+    Bounds = std::move(TheDims);
+    const size_t Size = elementCount(Bounds);
+    if (Size > Data.capacity())
+      Data.clear(); // regrowing would copy the old elements for nothing
+    Data.resize(Size);
     DefinedBits.clear();
   }
 
@@ -152,8 +162,23 @@ public:
   }
 
 private:
+  /// Value-less construction default-initialises, so resize() leaves new
+  /// doubles unwritten instead of zero-filling them.
+  template <typename T> struct DefaultInitAllocator : std::allocator<T> {
+    template <typename U> struct rebind {
+      using other = DefaultInitAllocator<U>;
+    };
+    template <typename U> void construct(U *P) {
+      ::new (static_cast<void *>(P)) U;
+    }
+    template <typename U, typename... Args>
+    void construct(U *P, Args &&...As) {
+      ::new (static_cast<void *>(P)) U(std::forward<Args>(As)...);
+    }
+  };
+
   Dims Bounds;
-  std::vector<double> Data;
+  std::vector<double, DefaultInitAllocator<double>> Data;
   std::vector<uint8_t> DefinedBits;
 };
 

@@ -286,6 +286,15 @@ bool Executor::runImpl(const ExecPlan &Plan, DoubleArray &Target,
   }
   const lir::LIRProgram &P = *Prog;
 
+  // Construction targets arrive shaped but not filled. Only an
+  // accumArray's untouched elements, an empties sweep's undefined reads
+  // and a failed run's unwritten elements would observe their contents.
+  if (!Plan.InPlace &&
+      (Plan.AccumInit || P.CheckEmpties || lir::canFail(P))) {
+    HAC_TRACE_SPAN(PrefillSpan, "exec.prefill");
+    std::fill_n(Target.data(), Target.size(), Plan.AccumInit.value_or(0.0));
+  }
+
   std::vector<const double *> InVec;
   InVec.reserve(P.InputNames.size());
   for (const std::string &Name : P.InputNames)

@@ -119,9 +119,16 @@ public:
   const JitExecStats &jitStats() const { return JitE; }
 
   /// Runs \p Plan against \p Target. For construction plans the target
-  /// must be freshly constructed with Plan.Dims; for in-place updates it
-  /// holds the old contents. Returns false with \p Err set on a runtime
-  /// error (failed check, unsupported expression, ...).
+  /// must have Plan.Dims' shape (with a defined bitmap, all clear, when
+  /// the plan checks collisions or empties); its element values do not
+  /// matter. A run whose coverage is proven writes every element once,
+  /// so the executor prefills the target only when the plan is an
+  /// accumArray (with ExecPlan::AccumInit), sweeps for empties, or can
+  /// fail mid-run (lir::canFail; with zero, so a failed run leaves the
+  /// same state whatever the target held). For in-place plans the target
+  /// holds the old contents and is never prefilled. Returns false with
+  /// \p Err set on a runtime error (failed check, unsupported
+  /// expression, ...).
   bool run(const ExecPlan &Plan, DoubleArray &Target, std::string &Err);
 
   ExecStats &stats() { return Stats; }

@@ -17,6 +17,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace hac;
 
 namespace {
@@ -141,6 +143,31 @@ TEST(AccumTest, SparseAccumPreFillsInit) {
   EXPECT_DOUBLE_EQ(Out.at({1}), 3.0);      // untouched
   EXPECT_DOUBLE_EQ(Out.at({4}), 3.0 + 2.0); // pair (4, 2)
   EXPECT_DOUBLE_EQ(Out.at({9}), 3.0);
+}
+
+TEST(AccumTest, SparseAccumIntoReusedOutputPreFillsInit) {
+  // The output arrives already shaped and holding other values (a
+  // sentinel, then the previous run's result): the Executor, not the
+  // caller's storage, gives untouched elements the initial value.
+  Compiler C;
+  auto Compiled = C.compileAccum(
+      "let n = 10 in "
+      "letrec* h = accumArray (\\a v . a + v) 3.0 (1,n) "
+      "[ 2*i := 1.0 * i | i <- [1..n/2] ] in h");
+  ASSERT_TRUE(Compiled && Compiled->Thunkless)
+      << (Compiled ? Compiled->FallbackReason : C.diags().str());
+  ASSERT_TRUE(Compiled->Plan.AccumInit.has_value());
+  EXPECT_EQ(*Compiled->Plan.AccumInit, 3.0);
+  Executor Exec(Compiled->Params);
+  DoubleArray Out(Compiled->Dims);
+  std::fill_n(Out.data(), Out.size(), -7777.25);
+  std::string Err;
+  for (int Run = 0; Run != 2; ++Run) {
+    ASSERT_TRUE(Compiled->evaluate(Out, Exec, Err)) << Err;
+    for (int64_t I = 1; I <= 10; ++I)
+      EXPECT_DOUBLE_EQ(Out.at({I}), I % 2 ? 3.0 : 3.0 + I / 2)
+          << "element " << I << ", run " << Run;
+  }
 }
 
 TEST(AccumTest, CompiledMatchesInterpreter) {

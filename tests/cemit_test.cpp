@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <random>
@@ -364,8 +365,7 @@ TEST(CEmitTest, AccumPlanWithPrefilledTarget) {
   KernelFn Fn = buildKernel(Emitted.Code, "kernel");
   ASSERT_NE(Fn, nullptr);
   DoubleArray Out(Compiled->Dims);
-  for (size_t I = 0; I != Out.size(); ++I)
-    Out[I] = Compiled->AccumInit;
+  std::fill_n(Out.data(), Out.size(), *Compiled->Plan.AccumInit);
   ASSERT_EQ(Fn(Out.data(), nullptr), HAC_OK);
   EXPECT_LE(DoubleArray::maxAbsDiff(Ref, Out), 0.0);
   EXPECT_DOUBLE_EQ(Out.at({1}), 1.5);       // untouched

@@ -32,6 +32,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -240,16 +241,20 @@ using RunFn = std::function<bool(Executor &, DoubleArray &, std::string &)>;
 /// Runs \p Run with the passes on and off at 1, 2, 4 and 8 threads and
 /// requires each pair to report the same thing. Every thread count must
 /// also succeed or fail like the 1-thread run, with the same error text,
-/// and on success report the same result bits and ExecStats. Returns
-/// whether the optimized 1-thread run succeeded.
+/// and report the same result bits and ExecStats. Every run starts from
+/// an output already shaped \p Dims and filled with a sentinel, so a
+/// failed run that left elements unwritten would show it. Returns whether
+/// the optimized 1-thread run succeeded.
 bool checkPassesKeepReports(const ParamEnv &Params, const RunFn &Run,
                             const std::map<std::string, const DoubleArray *>
                                 &Inputs,
-                            const std::string &Where) {
+                            const ArrayDims &Dims, const std::string &Where) {
   RunReport Serial;
   for (unsigned Threads : {1u, 2u, 4u, 8u}) {
     RunReport R[2];
     for (int Opt = 0; Opt != 2; ++Opt) {
+      R[Opt].Out = DoubleArray(Dims);
+      std::fill_n(R[Opt].Out.data(), R[Opt].Out.size(), -7777.25);
       Executor Exec(Params);
       Exec.setLIROptimize(Opt != 0);
       Exec.setNumThreads(Threads);
@@ -296,7 +301,7 @@ bool checkProgramReports(const std::string &Source,
           O = Start;
           return U->evaluateInPlace(O, E, Err);
         },
-        Inputs, Where);
+        Inputs, Dims, Where);
     return true;
   }
   auto A = Source.find("accumArray") != std::string::npos
@@ -310,7 +315,7 @@ bool checkProgramReports(const std::string &Source,
       [&](Executor &E, DoubleArray &O, std::string &Err) {
         return A->evaluate(O, E, Err);
       },
-      Inputs, Where);
+      Inputs, A->Dims, Where);
   return true;
 }
 
@@ -430,7 +435,7 @@ TEST(LIRGolden, WavePreludeKeepsHoistedChecks) {
   const RunFn Run = [&](Executor &E, DoubleArray &O, std::string &Err) {
     return A->evaluate(O, E, Err);
   };
-  EXPECT_TRUE(checkPassesKeepReports(A->Params, Run, {{"b", &B}},
+  EXPECT_TRUE(checkPassesKeepReports(A->Params, Run, {{"b", &B}}, A->Dims,
                                      "check in a wave prelude"));
   ProfileSink &PS = ProfileSink::get();
   const bool WasOn = PS.enabled();
@@ -581,9 +586,8 @@ void diffConstruction(const std::string &Path, const std::string &Source,
       jit::buildNativeKernel(Emitted.Code, "kernel", BuildErr));
   ASSERT_NE(Fn, nullptr) << Path << "\n" << BuildErr;
   DoubleArray Native(Compiled->Dims);
-  if (Compiled->IsAccum)
-    for (size_t I = 0, N = Native.size(); I != N; ++I)
-      Native[I] = Compiled->AccumInit;
+  std::fill_n(Native.data(), Native.size(),
+              Compiled->Plan.AccumInit.value_or(0.0));
   ASSERT_EQ(Fn(Native.data(), nullptr), HAC_OK) << Path;
   EXPECT_LE(DoubleArray::maxAbsDiff(Out, Native), 0.0)
       << Path << ": LIR evaluator vs compiled C";

@@ -18,6 +18,7 @@
 #include "parallel/ThreadPool.h"
 #include "runtime/Executor.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -170,6 +171,76 @@ TEST(ModuleTest, ReuseAndNoReuseProduceIdenticalResults) {
   EXPECT_EQ(FS.BuffersReused, 0u);
   EXPECT_LT(RS.PeakBytes, FS.PeakBytes);
   EXPECT_EQ(RS.Arrays, 4u);
+}
+
+TEST(ModuleTest, RerunsIntoOneOutputMatchFreshRuns) {
+  // The result is reshaped in place and pool slots are recycled without
+  // a prefill: a second run into the first run's output, and a run whose
+  // output starts as a sentinel, must both produce a fresh run's bits.
+  ModuleCompiler MC;
+  auto M = MC.compileModule(kPipeline4);
+  ASSERT_TRUE(M && M->Thunkless);
+  std::string Err;
+  for (bool Reuse : {true, false}) {
+    DoubleArray Fresh;
+    {
+      Executor Exec(M->Params);
+      ASSERT_TRUE(evaluateModule(*M, {}, Exec, Fresh, Err, nullptr, Reuse))
+          << Err;
+    }
+    Executor Exec(M->Params);
+    DoubleArray Out(M->result().Array.Dims);
+    std::fill_n(Out.data(), Out.size(), -7777.25);
+    const double *Storage = Out.data();
+    for (int Run = 0; Run != 2; ++Run) {
+      ASSERT_TRUE(evaluateModule(*M, {}, Exec, Out, Err, nullptr, Reuse))
+          << Err;
+      ASSERT_EQ(Out.size(), Fresh.size());
+      EXPECT_EQ(std::memcmp(Out.data(), Fresh.data(),
+                            Out.size() * sizeof(double)),
+                0)
+          << "reuse=" << Reuse << " run " << Run;
+      EXPECT_EQ(Out.data(), Storage) << "the result storage was replaced";
+    }
+  }
+}
+
+TEST(ModuleTest, EmptiesSweepIgnoresWhatTheOutputHeld) {
+  // b's guard reads b!4, which nothing defines. A zero-filled target
+  // makes the guard true, so b!1 is stored and the empties sweep reports
+  // b!4; a sentinel left in place would turn the guard false and report
+  // b!1 instead. The Executor prefills an empties-sweeping program, so
+  // the output's old contents change neither the error nor the stats.
+  const char *Source =
+      "let n = 4 in\n"
+      "letrec* a = array (1,n) [ i := i * 1.0 | i <- [1..n] ];\n"
+      "        b = array (1,n) ([ i := a!i | i <- [1..1], b!4 == 0.0 ] ++\n"
+      "                         [ i := a!i | i <- [2..3] ])\n"
+      "in b\n";
+  ModuleCompiler MC;
+  auto M = MC.compileModule(Source);
+  ASSERT_TRUE(M && M->Thunkless);
+  ASSERT_TRUE(M->result().Array.Plan.CheckEmpties);
+  std::string Errs[2];
+  ExecStats Stats[2];
+  for (int Sentinel = 0; Sentinel != 2; ++Sentinel) {
+    Executor Exec(M->Params);
+    DoubleArray Out;
+    if (Sentinel) {
+      Out = DoubleArray(M->result().Array.Dims);
+      std::fill_n(Out.data(), Out.size(), -7777.25);
+    }
+    EXPECT_FALSE(evaluateModule(*M, {}, Exec, Out, Errs[Sentinel]));
+    Stats[Sentinel] = Exec.stats();
+  }
+  EXPECT_EQ(Errs[0], "module binding 'b': undefined array element (empty) "
+                     "at linear index 3");
+  EXPECT_EQ(Errs[1], Errs[0]);
+  EXPECT_EQ(Stats[1].Stores, Stats[0].Stores);
+  EXPECT_EQ(Stats[1].Loads, Stats[0].Loads);
+  EXPECT_EQ(Stats[1].GuardEvals, Stats[0].GuardEvals);
+  EXPECT_EQ(Stats[1].BoundsChecks, Stats[0].BoundsChecks);
+  EXPECT_EQ(Stats[1].CollisionChecks, Stats[0].CollisionChecks);
 }
 
 std::optional<ProgramKind> classify(const std::string &Source) {

@@ -32,6 +32,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <functional>
@@ -90,9 +91,12 @@ struct KernelCacheDir {
 
 /// Runs \p Eval with non-validating executors at 1, 2, 4 and 8 threads
 /// and with the LIR passes off; every 8th program also runs as an async
-/// and a sync native kernel at 1 and 4 threads. Each run must agree with
-/// the interpreter's \p Ref and reproduce the 1-thread result bits and
-/// every ExecStats field.
+/// and a sync native kernel at 1 and 4 threads. Every leg runs twice on
+/// its executor, the second time into the output the first produced, and
+/// the serial leg runs once more into a sentinel-filled output. Each run
+/// must agree with the interpreter's \p Ref and reproduce the first
+/// 1-thread run's result bits and ExecStats (stats are reset before each
+/// run, so each run is compared by its own delta).
 void checkAcrossThreads(const ParamEnv &Params, const EvalFn &Eval,
                         const DoubleArray &Ref, const std::string &Source) {
   static unsigned Programs = 0;
@@ -103,18 +107,30 @@ void checkAcrossThreads(const ParamEnv &Params, const EvalFn &Eval,
   ASSERT_TRUE(Eval(Serial, SerialOut, Err)) << Err << "\n" << Source;
   ASSERT_EQ(Ref.size(), SerialOut.size()) << Source;
   EXPECT_LE(DoubleArray::maxAbsDiff(Ref, SerialOut), 1e-9) << Source;
+  const DoubleArray Expected = SerialOut;
+  const ExecStats ExpectedStats = Serial.stats();
 
-  auto Check = [&](Executor &E, const std::string &Where) {
-    DoubleArray Out;
+  auto RunInto = [&](Executor &E, DoubleArray &Out, const std::string &Where) {
+    E.resetStats();
     ASSERT_TRUE(Eval(E, Out, Err)) << Err << "\n" << Where;
-    ASSERT_EQ(Out.size(), SerialOut.size()) << Where;
-    EXPECT_EQ(std::memcmp(Out.data(), SerialOut.data(),
+    ASSERT_EQ(Out.size(), Expected.size()) << Where;
+    EXPECT_EQ(std::memcmp(Out.data(), Expected.data(),
                           Out.size() * sizeof(double)),
               0)
         << Where;
     EXPECT_LE(DoubleArray::maxAbsDiff(Ref, Out), 1e-9) << Where;
-    expectSameStats(E.stats(), Serial.stats(), Where);
+    expectSameStats(E.stats(), ExpectedStats, Where);
   };
+  auto Check = [&](Executor &E, const std::string &Where) {
+    DoubleArray Out;
+    RunInto(E, Out, Where);
+    RunInto(E, Out, "rerun into its own output, " + Where);
+  };
+  RunInto(Serial, SerialOut, "serial rerun into its own output\n" + Source);
+  DoubleArray Sentinel(Expected.dims());
+  std::fill_n(Sentinel.data(), Sentinel.size(), -7777.25);
+  RunInto(Serial, Sentinel, "serial run into a sentinel-filled output\n" +
+                                Source);
   for (unsigned Threads : {2u, 4u, 8u}) {
     Executor Par(Params);
     Par.setNumThreads(Threads);
@@ -130,18 +146,17 @@ void checkAcrossThreads(const ParamEnv &Params, const EvalFn &Eval,
   for (unsigned Threads : {1u, 4u}) {
     const std::string Where = std::to_string(Threads) + " threads\n" + Source;
     // Async first, against a cache that has not seen this kernel: the
-    // first run interprets while cc works, the second runs the kernel
+    // first runs interpret while cc works, the later ones run the kernel
     // swapped in once the compiler is idle.
     Executor Async(Params);
     Async.setNumThreads(Threads);
     Async.setJitMode(jit::JitMode::Async);
     Async.setJitCompiler(&JC);
-    Check(Async, "async kernel, first run, " + Where);
+    Check(Async, "async kernel, first runs, " + Where);
     JC.waitIdle();
-    Async.resetStats();
     Check(Async, "async kernel, after the swap, " + Where);
-    EXPECT_GE(Async.jitStats().NativeRuns, 1u) << Source;
-    EXPECT_EQ(Async.jitStats().NativeRuns + Async.jitStats().InterpRuns, 2u)
+    EXPECT_GE(Async.jitStats().NativeRuns, 2u) << Source;
+    EXPECT_EQ(Async.jitStats().NativeRuns + Async.jitStats().InterpRuns, 4u)
         << Source;
 
     // The sync leg reuses the async leg's kernel: no second cc run.
@@ -151,7 +166,7 @@ void checkAcrossThreads(const ParamEnv &Params, const EvalFn &Eval,
     Jitted.setJitMode(jit::JitMode::Sync);
     Jitted.setJitCompiler(&JC);
     Check(Jitted, "native kernel, " + Where);
-    EXPECT_EQ(Jitted.jitStats().NativeRuns, 1u) << Source;
+    EXPECT_EQ(Jitted.jitStats().NativeRuns, 2u) << Source;
     EXPECT_EQ(JC.stats().Compiles, Compiles) << Source;
   }
 }

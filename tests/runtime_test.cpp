@@ -1,8 +1,11 @@
 //===- tests/runtime_test.cpp - DoubleArray / Executor tests --------------===//
 
 #include "core/Compiler.h"
+#include "runtime/BufferPool.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 using namespace hac;
 
@@ -72,6 +75,38 @@ TEST(DoubleArrayTest, MaxAbsDiff) {
 TEST(DoubleArrayTest, EmptyDimension) {
   DoubleArray A(DoubleArray::Dims{{5, 4}}); // hi < lo
   EXPECT_EQ(A.size(), 0u);
+}
+
+TEST(DoubleArrayTest, ReshapeKeepsStorage) {
+  DoubleArray A(DoubleArray::Dims{{1, 8}});
+  A.enableDefinedBits();
+  const double *Storage = A.data();
+  A.reshape({{1, 2}, {1, 4}});
+  EXPECT_EQ(A.rank(), 2u);
+  EXPECT_EQ(A.size(), 8u);
+  EXPECT_EQ(A.data(), Storage);
+  EXPECT_FALSE(A.hasDefinedBits());
+  A.reshape({{0, 3}});
+  EXPECT_EQ(A.size(), 4u);
+  EXPECT_EQ(A.data(), Storage);
+  A.reshape({{1, 100}, {1, 3}});
+  EXPECT_EQ(A.size(), 300u);
+  A.set({100, 3}, 2.5);
+  EXPECT_DOUBLE_EQ(A.at({100, 3}), 2.5);
+}
+
+TEST(BufferPoolTest, AcquireRecyclesSlotStorage) {
+  BufferPool Pool(2);
+  DoubleArray &First = Pool.acquire(0, {{1, 8}});
+  const double *Storage = First.data();
+  Pool.acquire(1, {{1, 4}});
+  DoubleArray &Again = Pool.acquire(0, {{1, 2}, {1, 4}});
+  EXPECT_EQ(Again.data(), Storage);
+  EXPECT_EQ(Again.size(), 8u);
+  EXPECT_EQ(Pool.allocations(), 2u);
+  EXPECT_EQ(Pool.reuses(), 1u);
+  EXPECT_EQ(Pool.liveBytes(), 12 * sizeof(double));
+  EXPECT_EQ(Pool.peakBytes(), 12 * sizeof(double));
 }
 
 //===----------------------------------------------------------------------===//
@@ -163,6 +198,30 @@ TEST(ExecutorTest, BoundsCheckFires) {
   std::string Err;
   EXPECT_FALSE(Compiled->evaluate(Out, Exec, Err));
   EXPECT_NE(Err.find("out of bounds"), std::string::npos) << Err;
+}
+
+TEST(ExecutorTest, FailedRunIgnoresWhatTheOutputHeld) {
+  // Coverage is proven, so no empties sweep runs, but a!5 divides by
+  // zero after a!1..a!4 landed and a!6..a!10 are never written. A
+  // program that can fail runs on a zero-filled target, so the failure
+  // state is the same from a fresh output and from a sentinel.
+  CompiledArray Compiled = compileOk(
+      "let n = 10 in letrec* a = array (1,n) "
+      "[ i := 1 / (i - 5) | i <- [1..n] ] in a");
+  ASSERT_FALSE(Compiled.Plan.CheckEmpties);
+  DoubleArray Outs[2];
+  Outs[1] = DoubleArray(Compiled.Dims);
+  std::fill_n(Outs[1].data(), Outs[1].size(), -7777.25);
+  std::string Errs[2];
+  for (int I = 0; I != 2; ++I) {
+    Executor Exec(Compiled.Params);
+    EXPECT_FALSE(Compiled.evaluate(Outs[I], Exec, Errs[I]));
+  }
+  EXPECT_NE(Errs[0].find("division by zero"), std::string::npos) << Errs[0];
+  EXPECT_EQ(Errs[1], Errs[0]);
+  EXPECT_DOUBLE_EQ(Outs[1].at({4}), -1.0);
+  EXPECT_DOUBLE_EQ(Outs[1].at({10}), 0.0);
+  EXPECT_EQ(DoubleArray::maxAbsDiff(Outs[0], Outs[1]), 0.0);
 }
 
 TEST(ExecutorTest, UnboundArrayIsRuntimeError) {
